@@ -8,9 +8,10 @@ Per-tuple provenance is untouched: a batch is a view over its rows,
 every row keeps its ``tid``, and recovery / dedup / repartitioning
 logic keeps operating on individual tuples.
 
-Since the columnar data plane (``EngineConfig.columnar``), a batch can
-be backed either by a row list (the original representation) or by
-parallel per-column value lists plus a tid column.  Vectorized
+A batch is backed either by a row list (per-tuple paths, opaque
+predicates, operation calls under chaos, state channels) or by parallel
+per-column value lists plus a tid column (scans and every vectorized
+operator downstream of them).  Vectorized
 operators read and write the column arrays directly; row-at-a-time
 consumers (``__iter__``, ``__getitem__``, recovery/dedup/repartition
 logic) are served by lazy ``Row`` materialization, so both backings

@@ -85,15 +85,14 @@ class ExchangeProducer(UnaryOperator):
         #: the per-tuple path.
         self._log_work = (ctx.cost.log_append_work
                           + ctx.cost.log_append_work_per_byte * row_bytes)
-        #: Columnar plane: buffers and wire messages carry whole
+        #: Block wire: buffers and wire messages carry whole
         #: :class:`Batch` blocks (chunked at the same checkpoint/flush
         #: boundaries as the per-row wire) instead of individual rows.
         #: Pure host-side packaging — block boundaries, events and the
         #: rows delivered are identical — so state channels opt out:
         #: their per-row wire entries feed the late-build drain's
         #: one-row-per-get protocol, which blocks would repackage.
-        self._block_wire = (ctx.engine_config.columnar
-                            and ctx.engine_config.batch_size > 1
+        self._block_wire = (ctx.engine_config.batch_size > 1
                             and not state_channel)
         count = len(consumers)
         self._buffers: list[list] = [[] for _ in range(count)]
@@ -384,19 +383,11 @@ class ExchangeProducer(UnaryOperator):
         consumer = self.consumers[index]
         serialization = self.ctx.grid.serialization
         started = self.env.now
-        # Columnar payloads are charged the per-column serialization
-        # terms (0.0 by default, so the block wire stays cost-neutral).
-        column_count = 0
-        for item in items:
-            if isinstance(item, Batch):
-                column_count = max(column_count, item.width)
         yield from self.ctx.machine.work(
-            "serialize", serialization.serialize_work(row_count,
-                                                      column_count))
+            "serialize", serialization.serialize_work(row_count))
         payload = DataBuffer(consumer.channel_key, self.producer_id,
                              items, row_count)
-        wire_bytes = serialization.wire_size_batch(row_count, self.row_bytes,
-                                                   column_count)
+        wire_bytes = serialization.wire_size_batch(row_count, self.row_bytes)
         # Synchronous send: the SOAP/HTTP call returns at delivery.
         chaos = self.ctx.grid.chaos
         if chaos is None:

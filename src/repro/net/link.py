@@ -63,26 +63,16 @@ class Link:
         return delivered
 
     # The pump is a callback state machine rather than a process: the
-    # historical per-burst pump process plus a per-delivery latency
-    # process cost a Process + generator + bootstrap/done dispatch per
-    # message, all pure host overhead.  Event accounting matches the
-    # process version exactly — the bootstrap is replaced by the wake
-    # event above, every StoreGet/timeout is issued at the same
-    # position, and each process's completion event (dispatched as a
-    # callback-less no-op that runs no user code) is compensated by a
-    # direct ``env._seq += 1`` at the position where the generator
-    # returned — so ``events_scheduled`` and all tie-breaking stay
-    # bit-identical.
+    # wake event above starts it, each transmission is one store get
+    # plus one timeout, and each delivery's propagation is a kick event
+    # plus an optional latency timeout.
 
     def _on_pump_wake(self, _event: Event) -> None:
         self._pump_step()
 
     def _pump_step(self) -> None:
         if self._transmit_queue.is_empty:
-            # Pump exits: consume the sequence number its process
-            # completion event used to take.
             self._pump_running = False
-            self.env._seq += 1
             return
         # The item is buffered, so the get settles immediately and its
         # dispatch (from the queue, like the generator's yield of an
@@ -120,12 +110,10 @@ class Link:
 
                 def on_latency(_event: Event) -> None:
                     delivered.succeed(env.now)
-                    env._seq += 1
 
                 timeout.callbacks.append(on_latency)
             else:
                 delivered.succeed(env.now)
-                env._seq += 1
 
         kick = Event(env)
         kick.callbacks.append(on_kick)

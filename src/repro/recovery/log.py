@@ -32,7 +32,7 @@ class RecoveryLog:
     """Checkpoint-segmented log of unacknowledged tuples for a channel.
 
     Segment entries are individual :class:`Row` objects or — on the
-    columnar plane — whole :class:`Batch` blocks kept column-backed,
+    block wire — whole :class:`Batch` blocks kept column-backed,
     so logging a block is O(1) and rows only materialize if an
     adaptation actually inspects the log.
     """

@@ -10,14 +10,13 @@ compose (``result = yield env.process(sub())``).
 The simulation is fully deterministic: ties in time are broken by
 scheduling priority, then by insertion order.
 
-Kernel fast path
-----------------
+Kernel disciplines
+------------------
 
-With :attr:`Environment.fast_path` enabled (the default), the kernel
-applies three allocation-avoiding optimisations that are **observably
-identical** to the straight implementation — same rows, same timeline,
-same :attr:`Environment.events_scheduled` count (property-tested in
-``tests/properties/test_kernel_fast_path.py``):
+The kernel applies three allocation-avoiding disciplines.  None of them
+changes the order in which events fire, which is lexicographic in
+``(time, priority, schedule order)`` (property-tested in
+``tests/sim/test_kernel_order.py``):
 
 * **Slim heap entries with same-timestamp coalescing.**  Heap entries
   are ``[when, (priority << 48) | seq, payload]`` lists.  When a
@@ -36,26 +35,21 @@ same :attr:`Environment.events_scheduled` count (property-tested in
   everything already in the entry and smaller than everything
   scheduled later; nothing can sort *between* two occupants of the
   same entry.  :meth:`step` drains a coalesced payload one event per
-  call, so ``run(until=event)`` still stops with exactly the events
-  the straight kernel would have processed.
+  call, so ``run(until=event)`` stops exactly at the awaited event.
 * **A free list for process resume events.**  The bootstrap/resume
   events that drive generators are internal to the kernel — no user
   code ever holds one — so they are recycled through a small pool
   instead of being allocated per yield.
 * **An inline resume for already-processed targets.**  When a process
-  yields an event that has already been processed, the straight kernel
-  bounces through the queue (schedule a fresh resume event, pop it
-  next step).  If that bounce event would provably be the very next
-  event popped (no callbacks left in the current dispatch, no batch
-  being drained, no queue entry at the current instant), the fast path
-  consumes a sequence number for it and resumes the generator in
-  place — same event accounting, same order, one less allocation and
-  heap round trip.
+  yields an event that has already been processed and a resume event
+  would provably be the very next event popped (no callbacks left in
+  the current dispatch, no batch being drained, no queue entry at the
+  current instant), the generator resumes in place instead of bouncing
+  through the queue.
 
-Every ``schedule()`` call increments the sequence counter exactly as
-before, so ``events_scheduled`` — the kernel's work measure reported
-by the perf benchmarks — is bit-identical with the fast path on or
-off.
+:attr:`Environment.events_scheduled` counts the events passed to
+:meth:`Environment.schedule`; once the queue drains it equals the
+number of dispatches.
 """
 
 from __future__ import annotations
@@ -117,12 +111,7 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
-        if env._fast_path:
-            bootstrap = env._acquire_resume(self._resume)
-        else:
-            bootstrap = Event(env)
-            bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed(None)
+        env._acquire_resume(self._resume).succeed(None)
 
     @property
     def is_alive(self) -> bool:
@@ -158,22 +147,14 @@ class Process(Event):
                 target.callbacks.append(self._resume)
                 return
             # The event already fired; resume through the kernel so the
-            # process never outruns the event queue.  The bounce always
-            # costs one scheduled event.
-            if env._fast_path:
-                if (not env._mid_dispatch and env._batch is None
-                        and (not env._queue
-                             or env._queue[0][0] > env._now)):
-                    # The bounce event would be the very next one
-                    # popped: consume its sequence number and resume in
-                    # place instead of a queue round trip.
-                    env._seq += 1
-                    trigger = target
-                    continue
-                resume = env._acquire_resume(self._resume)
-            else:
-                resume = Event(env)
-                resume.callbacks.append(self._resume)
+            # process never outruns the event queue.
+            if (not env._mid_dispatch and env._batch is None
+                    and (not env._queue or env._queue[0][0] > env._now)):
+                # A resume event would be the very next one popped:
+                # resume in place instead of a queue round trip.
+                trigger = target
+                continue
+            resume = env._acquire_resume(self._resume)
             if target.ok:
                 resume.succeed(target.value)
             else:
@@ -200,19 +181,17 @@ class Environment:
         assert env.now == 5.0 and proc.value == "done"
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 fast_path: bool = True) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: Pending entries: ``[when, packed_key, payload]`` where the
         #: payload is an Event or, for a coalesced entry, a list of
         #: events in scheduling order.
         self._queue: list[list] = []
         self._seq = 0
-        self._fast_path = bool(fast_path)
         #: The open heap entry at the current instant — the merge
         #: target for ``delay == 0`` normal-priority schedules.
         #: Cleared when its entry is popped and whenever the clock
-        #: advances.  Always None with fast_path off.
+        #: advances.
         self._open_now: list | None = None
         #: Open heap entries at *future* timestamps, the merge targets
         #: for ``delay > 0`` normal-priority schedules (same-deadline
@@ -221,14 +200,16 @@ class Environment:
         #: coalesce — urgent ones are pushed individually, which is
         #: order-safe because an urgent event sorts before every
         #: occupant of a normal-priority entry at the same instant,
-        #: merged or not.  Always empty with fast_path off.
+        #: merged or not.
         self._open: dict[float, list] = {}
         #: Remainder of a coalesced payload being drained one event per
-        #: step() call, and the index of the next event in it.
+        #: step() call, the index of the next event in it, and the heap
+        #: key of the entry it came from.
         self._batch: list | None = None
         self._batch_index = 0
+        self._batch_key = 0
         #: True while step() has callbacks left to run for the current
-        #: event (guards the inline-resume fast path).
+        #: event (guards the inline resume).
         self._mid_dispatch = False
         self._resume_pool: list[_ResumeEvent] = []
 
@@ -239,31 +220,14 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events ever queued — the kernel's work measure.
+        """Events passed to :meth:`schedule` — the kernel's work measure.
 
         Batch-granular execution exists to shrink this number; the
-        perf benchmark reports it per run.  Invariant under
-        :attr:`fast_path`: coalesced and inline-resumed events are
-        counted exactly as if they had been pushed individually.
+        perf benchmark reports it per run.  Coalesced events count
+        individually, so once the queue drains this equals the number
+        of dispatches.
         """
         return self._seq
-
-    @property
-    def fast_path(self) -> bool:
-        """Whether the allocation-avoiding kernel paths are active."""
-        return self._fast_path
-
-    @fast_path.setter
-    def fast_path(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled == self._fast_path:
-            return
-        self._fast_path = enabled
-        # Entries opened before the toggle must not absorb events
-        # scheduled after it: an event pushed separately while the flag
-        # was off sorts between the entry and a later merge candidate.
-        self._open_now = None
-        self._open.clear()
 
     # -- scheduling ----------------------------------------------------
 
@@ -274,7 +238,7 @@ class Environment:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq += 1
         when = self._now + delay
-        if self._fast_path and priority == PRIORITY_NORMAL:
+        if priority == PRIORITY_NORMAL:
             if when == self._now:
                 entry = self._open_now
                 if entry is not None:
@@ -302,9 +266,23 @@ class Environment:
                 open_entries[when] = entry
             heapq.heappush(self._queue, entry)
         else:
+            if self._batch is not None and when == self._now:
+                # The urgent event sorts before the rest of the batch
+                # being drained: hand the rest back to the heap.
+                self._requeue_batch()
             heapq.heappush(
                 self._queue,
                 [when, (priority << _SEQ_BITS) | self._seq, event])
+
+    def _requeue_batch(self) -> None:
+        """Push the undrained rest of the current batch back onto the
+        heap under its entry's original key, which still sorts before
+        every event scheduled since the entry was popped."""
+        rest = self._batch[self._batch_index:]
+        self._batch = None
+        self._batch_index = 0
+        heapq.heappush(self._queue, [self._now, self._batch_key,
+                                     rest if len(rest) > 1 else rest[0]])
 
     def _acquire_resume(self, callback) -> _ResumeEvent:
         """A fresh-or-recycled internal process resume event."""
@@ -384,6 +362,7 @@ class Environment:
             # each had been popped individually.
             self._batch = payload
             self._batch_index = 1
+            self._batch_key = entry[1]
             self._dispatch(payload[0])
             return
         self._dispatch(payload)
@@ -391,11 +370,10 @@ class Environment:
     def _dispatch(self, event: Event) -> None:
         """Fire one event's callbacks and mark it processed.
 
-        The straight kernel swapped the callback list for a new one
-        before dispatch; every callback appended post-trigger is guarded
-        by a ``processed`` check (``Process._resume``, ``_observe``), so
-        iterating in place is equivalent and saves a list allocation per
-        event.
+        Callbacks are iterated in place: every callback appended
+        post-trigger is guarded by a ``processed`` check
+        (``Process._resume``, ``_observe``), so no copy of the list is
+        needed.
         """
         callbacks = event.callbacks
         event._processed = True

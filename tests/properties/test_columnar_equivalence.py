@@ -1,129 +1,81 @@
-"""Property tests: the columnar data plane is bit-invisible.
+"""The columnar data plane reproduces the retired row plane bit for bit.
 
-``EngineConfig.columnar`` switches the whole data plane — scans,
-filters, projections, exchange routing, hash-join probe matching,
-wire-block reassembly — from row-at-a-time ``Row`` lists to parallel
-per-column value lists with lazy row materialization.  Every
-vectorized kernel charges exactly the CPU work the row loop charged
-and produces the same rows in the same order, so with the plane on or
-off the rows, the full traced timeline, the simulated response time
-and the ``events_scheduled`` counter must be *bit-identical* — for
-every query, batch size, policy and perturbation.
+The columnar plane — scans, filters, projections, exchange routing,
+hash-join probe matching, wire-block reassembly — replaced a
+row-at-a-time plane that moved ``Row`` lists.  The two were asserted
+bit-identical while both existed.  The goldens below were captured
+from the row plane on the last commit that had it, for both CI grid
+seeds, and pin the rows (content hash), the full traced timeline
+(timestamp/category/source/description of every event) and the
+simulated response time of static runs across the batch-size axis.
 
 At ``batch_size=1`` every ``next_batch`` degrades to the per-tuple
-``next`` path regardless of the flag, which is the degenerate corner
-pinned here alongside the hot 32/128 morsel sizes.
+``next`` path, which is the degenerate corner pinned here alongside
+the hot 32/128 morsel sizes.
 """
 
+import hashlib
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.config import AdaptivityConfig, EngineConfig
-from repro.workloads import (
-    DemoGrid,
-    DemoGridSpec,
-    Q1,
-    Q2,
-    perturb_join_sleep,
-    perturb_ws_cost,
-    perturb_ws_cost_varying,
-)
+from repro.workloads import DemoGrid, DemoGridSpec, Q1, Q2
 
+SEED = int(os.environ.get("REPRO_TEST_SEED", "0"))
 SPEC = DemoGridSpec(sequences_cardinality=150, interactions_cardinality=220,
-                    sequence_length=24,
-                    seed=int(os.environ.get("REPRO_TEST_SEED", "0")))
-
-slow_settings = settings(max_examples=6, deadline=None,
-                         suppress_health_check=[HealthCheck.too_slow])
-
-policies = st.sampled_from([
-    AdaptivityConfig.disabled(),
-    AdaptivityConfig(assessment="A1", response="R2"),
-    AdaptivityConfig(assessment="A2", response="R2",
-                     decision_latency_ms=100.0),
-])
+                    sequence_length=24, seed=SEED)
 
 BATCH_SIZES = (1, 32, 128)
 
+#: "<query>-<batch size>|seed<seed>" -> (rows sha, timeline sha,
+#: response ms), captured from the row plane.
+GOLDEN = {
+    "Q1-1|seed0": ("88719c8e2831dabc", "a906a7298f64a8fa",
+                   1131.8848000000007),
+    "Q1-32|seed0": ("88719c8e2831dabc", "15f332d09cbbcaf8",
+                    1131.8847999999998),
+    "Q1-128|seed0": ("88719c8e2831dabc", "79766fbefda951fe", 1131.8848),
+    "Q2-1|seed0": ("dc9b34e9d529adf2", "c0d0155757174e3c",
+                   1323.062079999998),
+    "Q2-32|seed0": ("dc9b34e9d529adf2", "8f99fcb08fc4c8fc",
+                    1327.5842399999992),
+    "Q2-128|seed0": ("dc9b34e9d529adf2", "5f84bdb1d66a8eb5",
+                     1323.0002399999998),
+    "Q1-1|seed1": ("c566dd3f68988153", "a906a7298f64a8fa",
+                   1131.8848000000007),
+    "Q1-32|seed1": ("c566dd3f68988153", "15f332d09cbbcaf8",
+                    1131.8847999999998),
+    "Q1-128|seed1": ("c566dd3f68988153", "79766fbefda951fe", 1131.8848),
+    "Q2-1|seed1": ("6be87d00c59fa504", "c970a02987615e48",
+                   1317.5068799999974),
+    "Q2-32|seed1": ("899133692efb7b5b", "fae95dc827c4fc54",
+                    1334.7850399999993),
+    "Q2-128|seed1": ("1ab67d9a4402c204", "4e615ffda018e450",
+                     1328.4154399999993),
+}
 
-def run_once(query_text, columnar, adaptivity, perturb=None,
-             batch_size=32):
-    grid = DemoGrid(SPEC, engine_config=EngineConfig(
-        batch_size=batch_size, columnar=columnar))
-    if perturb is not None:
-        perturb(grid)
-    result = grid.run(query_text, adaptivity)
+
+def sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def fingerprint(query_text, batch_size):
+    grid = DemoGrid(SPEC, engine_config=EngineConfig(batch_size=batch_size))
+    result = grid.run(query_text, AdaptivityConfig.disabled())
     timeline = [(event.timestamp, event.category, event.source,
                  event.description)
                 for event in grid.context.tracer.events]
-    return {
-        "rows": [repr(row) for row in result.rows],
-        "response_time_ms": result.response_time_ms,
-        "events_scheduled": grid.context.env.events_scheduled,
-        "timeline": timeline,
-    }
-
-
-def assert_bit_identical(columnar, legacy):
-    assert columnar["rows"] == legacy["rows"]
-    assert columnar["response_time_ms"] == legacy["response_time_ms"]
-    assert columnar["events_scheduled"] == legacy["events_scheduled"]
-    assert columnar["timeline"] == legacy["timeline"]
+    return (sha([repr(row) for row in result.rows]), sha(timeline),
+            result.response_time_ms)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("query_text", [Q1, Q2], ids=["Q1", "Q2"])
 def test_columnar_bit_identical_static(query_text, batch_size):
     """Unperturbed static runs across the full batch-size axis."""
-    columnar = run_once(query_text, True, AdaptivityConfig.disabled(),
-                        batch_size=batch_size)
-    legacy = run_once(query_text, False, AdaptivityConfig.disabled(),
-                      batch_size=batch_size)
-    assert_bit_identical(columnar, legacy)
-
-
-@given(config=policies, factor=st.sampled_from([1.0, 10.0, 25.0]),
-       batch_size=st.sampled_from(BATCH_SIZES))
-@slow_settings
-def test_q1_columnar_bit_identical(config, factor, batch_size):
-    def perturb(g):
-        perturb_ws_cost(g, factor)
-    columnar = run_once(Q1, True, config, perturb=perturb,
-                        batch_size=batch_size)
-    legacy = run_once(Q1, False, config, perturb=perturb,
-                      batch_size=batch_size)
-    assert_bit_identical(columnar, legacy)
-
-
-@given(config=policies, sleep_ms=st.sampled_from([0.0, 12.0]),
-       batch_size=st.sampled_from(BATCH_SIZES))
-@slow_settings
-def test_q2_columnar_bit_identical(config, sleep_ms, batch_size):
-    def perturb(g):
-        if sleep_ms:
-            perturb_join_sleep(g, sleep_ms)
-    columnar = run_once(Q2, True, config, perturb=perturb,
-                        batch_size=batch_size)
-    legacy = run_once(Q2, False, config, perturb=perturb,
-                      batch_size=batch_size)
-    assert_bit_identical(columnar, legacy)
-
-
-@given(low=st.floats(min_value=2.0, max_value=8.0),
-       spread=st.floats(min_value=1.0, max_value=25.0))
-@slow_settings
-def test_q1_columnar_bit_identical_under_stochastic_perturbation(
-        low, spread):
-    # Per-tuple random cost factors draw from the grid's seeded RNG;
-    # the deterministic-perturbation fast path must leave stochastic
-    # schedules (and their draw order) completely alone.
-    config = AdaptivityConfig(response="R2", decision_latency_ms=50.0)
-
-    def perturb(g):
-        perturb_ws_cost_varying(g, low, low + spread)
-    columnar = run_once(Q1, True, config, perturb=perturb)
-    legacy = run_once(Q1, False, config, perturb=perturb)
-    assert_bit_identical(columnar, legacy)
+    name = "Q1" if query_text == Q1 else "Q2"
+    key = f"{name}-{batch_size}|seed{SEED}"
+    if key not in GOLDEN:
+        pytest.skip(f"no golden captured for seed {SEED}")
+    assert fingerprint(query_text, batch_size) == GOLDEN[key]

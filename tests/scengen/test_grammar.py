@@ -1,5 +1,6 @@
 """Generator determinism and the scenario JSON round trip."""
 
+import json
 import random
 
 import pytest
@@ -10,6 +11,27 @@ from repro.scengen.grammar import (
     ScenarioGrammar,
     derive_seed,
 )
+from repro.scengen.runner import probe_scenario
+
+#: Line 0 of ``fuzz --budget 12 --seed 0``'s corpus under grammar v4
+#: (probe fields the test does not read trimmed).  The scenario ran on
+#: the row plane (``columnar: false``).
+V4_CORPUS_LINE = (
+    '{"index": 0, "id": "b313eb9a0c7b", '
+    '"main": {"response_ms": 1874.16736, '
+    '"rows_sha": "eedd9723b0e70cb6", "trace_sha": "cd0237ac4623bac1"}, '
+    '"scenario": {"batch_size": 32, "chaos": {"crashes": '
+    '[{"at_ms": 1000.0, "machine_index": 1}], "delay": 0.0, '
+    '"delay_ms": 0.0, "drop": 0.0, "duplicate": 0.0, "freezes": [], '
+    '"ws_failure": 0.0}, "columnar": false, "compute_machines": 3, '
+    '"degree": null, "fault_tolerance": true, "grammar_version": 4, '
+    '"interactions": 180, "lazy_machines": false, "pacing": "brisk", '
+    '"perturbations": [], "policy": "chaos-aware", "query": "Q1", '
+    '"rules": ["query:Q1", "size:medium", "world:2", "machines:3", '
+    '"batch:32", "columnar:off", "policy:chaos-aware", "pacing:brisk", '
+    '"perturbs:none", "chaos:crash", "fleet:none"], '
+    '"seed": 11162301687296974365, "sequences": 120, "sites": 1, '
+    '"world_seed": 2}}')
 
 
 class TestDeriveSeed:
@@ -56,29 +78,37 @@ class TestGeneration:
         scenario = ScenarioGrammar().generate(0, 0)
         assert scenario.grammar_version == GRAMMAR_VERSION
 
-    def test_columnar_axis_drawn(self):
-        """Grammar v2 draws the data-plane axis and records its rule;
-        both planes appear in a modest corpus."""
+    def test_columnar_axis_retired(self):
+        """Grammar v5 draws no data-plane axis and records no rule."""
         grammar = ScenarioGrammar()
-        planes = set()
-        for index in range(40):
+        for index in range(20):
             scenario = grammar.generate(0, index)
-            suffix = "on" if scenario.columnar else "off"
-            assert f"columnar:{suffix}" in scenario.rules
-            planes.add(scenario.columnar)
-        assert planes == {True, False}
+            assert "columnar" not in scenario.to_json()
+            assert not any(rule.startswith("columnar:")
+                           for rule in scenario.rules)
 
-    def test_columnar_weight_steering(self):
-        grammar = ScenarioGrammar({"columnar:on": 0.0})
-        assert not any(grammar.generate(0, index).columnar
-                       for index in range(20))
+    def test_stale_columnar_weight_is_inert(self):
+        """A v2-v4 weights file naming the retired axis leaves the
+        corpus unchanged."""
+        stale = ScenarioGrammar({"columnar:on": 0.0, "columnar:off": 9.0})
+        fresh = ScenarioGrammar()
+        for index in range(10):
+            assert (stale.generate(0, index).canonical_json()
+                    == fresh.generate(0, index).canonical_json())
 
     def test_columnar_defaults_on_for_old_corpora(self):
-        """Pre-v2 corpus records (no ``columnar`` key) load with the
-        engine default, keeping shrunk repros valid."""
-        record = ScenarioGrammar().generate(0, 0).to_json()
-        del record["columnar"]
-        assert Scenario.from_json(record).columnar is True
+        """Old corpus records run on the columnar plane, the only one:
+        a v4 record drawn on the retired row plane loads, and its main
+        run reproduces the recorded rows, trace and response time."""
+        line = json.loads(V4_CORPUS_LINE)
+        scenario = Scenario.from_json(line["scenario"])
+        assert scenario.grammar_version == 4
+        assert "columnar" not in scenario.to_json()
+        main = probe_scenario(scenario).main
+        recorded = line["main"]
+        assert main.rows_sha == recorded["rows_sha"]
+        assert main.trace_sha == recorded["trace_sha"]
+        assert main.response_ms == recorded["response_ms"]
 
     def test_freeze_chaos_implies_fault_tolerance(self):
         found_freeze = False
