@@ -147,6 +147,13 @@ class MonitoringEventDetector(GridService, NotificationPublisher):
         self._observe(key, send_cost_ms / tuple_count)
         return event
 
+    def release(self) -> None:
+        """The co-located GQES wound the query down: no raw event can
+        arrive any more, so the windows go."""
+        self._windows = {}
+        self._last_notified = {}
+        self._meta = {}
+
     # -- windowing and thresholding ------------------------------------------
 
     def _charge_cpu(self) -> None:

@@ -86,6 +86,12 @@ class QueryRuntime:
     def all_gqes(self) -> list[GQES]:
         return list(self.gqes_by_machine.values())
 
+    def release(self) -> None:
+        """The outcome is out and no recovery pass is running: every
+        GQES may free the query's state once it has wound down."""
+        for gqes in self.gqes_by_machine.values():
+            gqes.release()
+
     def unhandled_failures(self) -> list:
         """Crashed services no recovery pass has dealt with yet."""
         return [gqes for gqes in self.all_gqes()

@@ -150,6 +150,10 @@ class QueryHandle:
     the result was collected.  Response time as experienced by the
     submitter is ``completed_at - submitted_at``; the execution-only
     figure the paper reports is ``completed_at - started_at``.
+
+    ``runtime`` — the deployed plan, services and fragments — is held
+    only while the query runs; once the outcome is collected the
+    handle keeps just ``result`` or ``failure``.
     """
 
     def __init__(self, query_id: str, done: Event) -> None:
@@ -200,6 +204,9 @@ class GDQS(GridService):
         #: watch list drains and is respawned by the next FT submit,
         #: so an idle GDQS schedules no timer events at all.
         self._watched: dict[str, list] = {}
+        #: The runtime a wheel round is checking (and maybe recovering)
+        #: right now; its release waits for the round to end.
+        self._checking: QueryRuntime | None = None
         self._wheel_running = False
         self._wheel_activations = 0
         self.failures_recovered = 0
@@ -311,6 +318,7 @@ class GDQS(GridService):
             query_id=handle.query_id,
             response_ms=round(response_time, 1))
         handle.done.succeed(handle.result)
+        self._settle(handle, runtime)
 
     def _fail_query(self, handle: QueryHandle, runtime: QueryRuntime,
                     cause: str, failed_machine: str | None) -> None:
@@ -344,6 +352,18 @@ class GDQS(GridService):
             failed_machine=failed_machine or "",
             elapsed_ms=round(elapsed, 1), recoveries=runtime.recoveries)
         handle.done.succeed(failure)
+        self._settle(handle, runtime)
+
+    def _settle(self, handle: QueryHandle, runtime: QueryRuntime) -> None:
+        """The outcome is collected: drop the query's runtime.
+
+        The handle keeps only the outcome.  The runtime is released
+        now, or by the wheel once a recovery round still redeploying
+        this query has ended.
+        """
+        handle.runtime = None
+        if runtime is not self._checking:
+            runtime.release()
 
     def abort(self, handle: QueryHandle, cause: str,
               failed_machine: str | None = None) -> bool:
@@ -396,10 +416,14 @@ class GDQS(GridService):
                 if handle.done.triggered:
                     self._watched.pop(query_id, None)
                     continue
+                self._checking = runtime
                 stop = yield from self._check_round(handle, runtime,
                                                     started, suspected)
+                self._checking = None
                 if stop or handle.done.triggered:
                     self._watched.pop(query_id, None)
+                    if handle.done.triggered:
+                        runtime.release()
         self._wheel_running = False
 
     def _check_round(self, handle: QueryHandle, runtime: QueryRuntime,

@@ -14,6 +14,14 @@ The GQES owns the machine-side halves of every engine protocol:
   distribution updates, query completion) are applied in arrival
   order — both paths serialise through the machine's FIFO CPU, which
   preserves the per-link FIFO guarantees the recovery protocol needs.
+
+A GQES lives as long as its query.  Once the GDQS has the outcome
+(:meth:`GQES.release`), query completion has been applied here and
+every evaluator has exited, the service frees its fragments,
+exchanges, recovery logs and its detector's windows.  What remains is
+a constant-size shell — endpoint, dispatch loop and the answers to
+late progress calls, frozen at release — that charges and answers
+late messages exactly as the wound-down query would have.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from repro.grid.container import GridContext
 from repro.net.message import Message
 from repro.recovery.checkpoint import Acknowledgement
 from repro.services.base import GridService
+from repro.sim.events import Event
 
 
 class GQES(GridService):
@@ -58,8 +67,14 @@ class GQES(GridService):
         self._consumers: dict[str, tuple] = {}   # channel_key -> (xc, frag)
         self._producers: dict[str, tuple] = {}   # producer_id -> (xp, frag)
         self.query_complete = self.env.event()
-        self._evaluators: list = []
+        self._evaluators_running = 0
         self._ingests_active = 0
+        #: Set by :meth:`release`; the state goes once the query has
+        #: wound down here too.
+        self._release_requested = False
+        #: ``(progress, processed)`` replies per subplan, frozen when
+        #: the query state is released; None while it is held.
+        self._frozen_replies: tuple[dict, dict] | None = None
         if self.fault_tolerance.enabled and gdqs_endpoint is not None:
             self.env.process(self._heartbeat_loop(),
                              name=f"{self.name}:heartbeat")
@@ -103,10 +118,56 @@ class GQES(GridService):
             self._consumers[channel_key] = (consumer, fragment)
         for producer in fragment.producers:
             self._producers[producer.producer_id] = (producer, fragment)
-        evaluator = self.env.process(
-            fragment.run(self.query_complete),
-            name=f"eval:{fragment.instance_id}")
-        self._evaluators.append(evaluator)
+        self._evaluators_running += 1
+        evaluator = self.env.process(fragment.run(self.query_complete),
+                                     name=f"eval:{fragment.instance_id}")
+        evaluator.callbacks.append(self._on_evaluator_exit)
+
+    def _on_evaluator_exit(self, evaluator: Event) -> None:
+        if not evaluator.ok:
+            raise evaluator.value  # an engine fault: nobody else waits
+        self._evaluators_running -= 1
+        self._maybe_release()
+
+    # -- query-scoped lifetime -------------------------------------------
+
+    def release(self) -> None:
+        """The query's outcome is out: free its state once wound down.
+
+        Called by the GDQS when no recovery pass can touch this
+        service any more.  The state goes at once if query completion
+        has been applied and every evaluator has exited, else when the
+        last of them exits.
+        """
+        self._release_requested = True
+        self._maybe_release()
+
+    @property
+    def released(self) -> bool:
+        return self._frozen_replies is not None
+
+    def _maybe_release(self) -> None:
+        if (not self._release_requested or self.released
+                or not self.query_complete.triggered
+                or self._evaluators_running):
+            return
+        # With every evaluator gone nothing moves these counts any
+        # more, so the frozen replies are the ones a late call gets.
+        progress: dict[str, list] = {}
+        for producer, _fragment in self._producers.values():
+            progress.setdefault(producer.target_subplan_id, []).append(
+                producer.progress())
+        processed: dict[str, int] = {}
+        for fragment in self.fragments.values():
+            processed[fragment.subplan_id] = (
+                processed.get(fragment.subplan_id, 0)
+                + fragment.ctx.metrics.consumed)
+        self._frozen_replies = (progress, processed)
+        self.fragments = {}
+        self._consumers = {}
+        self._producers = {}
+        if self.detector is not None:
+            self.detector.release()
 
     # -- data path ----------------------------------------------------------
 
@@ -127,13 +188,14 @@ class GQES(GridService):
 
             def on_deserialized(_event) -> None:
                 try:
-                    try:
-                        consumer, fragment = self._consumers[
-                            buffer.channel_key]
-                    except KeyError:
+                    entry = self._consumers.get(buffer.channel_key)
+                    if entry is None:
+                        if self.released:
+                            return  # late data for a settled query
                         raise ServiceError(
                             f"{self.name}: data for unknown channel "
-                            f"{buffer.channel_key}") from None
+                            f"{buffer.channel_key}")
+                    consumer, fragment = entry
                     consumer.deliver(buffer.producer_id, message.sender,
                                      buffer.items)
                     fragment.wake()
@@ -236,6 +298,8 @@ class GQES(GridService):
     def op_progress(self, payload: dict, sender: str) -> typing.Generator:
         """Progress reports for producers feeding ``subplan_id`` ([7])."""
         subplan_id = payload["subplan_id"]
+        if self.released:
+            return list(self._frozen_replies[0].get(subplan_id, ()))
         reports = [producer.progress()
                    for producer, _fragment in self._producers.values()
                    if producer.target_subplan_id == subplan_id]
@@ -305,6 +369,8 @@ class GQES(GridService):
     def op_processed(self, payload: dict, sender: str) -> typing.Generator:
         """Tuples consumed so far by local instances of ``subplan_id``."""
         subplan_id = payload["subplan_id"]
+        if self.released:
+            return self._frozen_replies[1].get(subplan_id, 0)
         total = sum(fragment.ctx.metrics.consumed
                     for fragment in self.fragments.values()
                     if fragment.subplan_id == subplan_id)

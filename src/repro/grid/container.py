@@ -15,7 +15,6 @@ from repro.net.network import Network, NetworkConfig
 from repro.net.serialization import SerializationModel
 from repro.sim.environment import Environment
 from repro.sim.rand import RandomStreams
-from repro.sim.resources import SpeedFunction
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import Tracer
 
@@ -102,7 +101,7 @@ class GridContext:
                            services_lost=len(victims))
         return victims
 
-    def add_machine(self, name: str, speed: float | SpeedFunction = 1.0,
+    def add_machine(self, name: str, speed: float = 1.0,
                     compute: bool = True, spare: bool = False,
                     site: str | None = None,
                     lazy: bool = False) -> Machine | None:

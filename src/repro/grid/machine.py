@@ -27,7 +27,7 @@ import typing
 from repro.grid.perturbation import Perturbation, WorkEffect
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.resources import Cpu, SpeedFunction
+from repro.sim.resources import Cpu
 
 #: Memoized repeated float addition: ``(work, count) -> work summed
 #: count times``.  Batch work charges sum per-item work by repeated
@@ -53,7 +53,7 @@ class Machine:
     """A named computational resource on the simulated Grid."""
 
     def __init__(self, env: Environment, name: str,
-                 speed: float | SpeedFunction = 1.0,
+                 speed: float = 1.0,
                  rng: random.Random | None = None,
                  capacity: float = 1.0,
                  metrics=None) -> None:

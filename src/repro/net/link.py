@@ -13,11 +13,16 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.stores import Store
 
 
 class Link:
-    """A latency/bandwidth pipe between two machines."""
+    """A latency/bandwidth pipe between two machines.
+
+    The link is an analytic FIFO: a transfer starts when both it and
+    the link are ready, occupies the link until ``busy_until``, and
+    is delivered ``latency`` later by a single event scheduled at
+    acceptance.
+    """
 
     def __init__(self, env: Environment, latency_ms: float,
                  bandwidth_bytes_per_ms: float) -> None:
@@ -29,12 +34,8 @@ class Link:
         self.env = env
         self.latency_ms = latency_ms
         self.bandwidth = bandwidth_bytes_per_ms
-        # The transmit queue guarantees FIFO occupancy of the link.
-        self._transmit_queue: Store = Store(env)
-        self._pump_running = False
-        #: The transfer currently occupying the link, carried between
-        #: the transmission timeout being scheduled and it firing.
-        self._current: tuple[int, Event, float] | None = None
+        #: When the link finishes transmitting every accepted transfer.
+        self.busy_until = 0.0
         self.bytes_sent = 0
         self.messages_sent = 0
         self.chaos_delay_ms = 0.0
@@ -49,72 +50,22 @@ class Link:
 
         ``extra_delay_ms`` models chaos-injected congestion: it extends
         this transfer's link occupancy, so later messages queue behind
-        it and FIFO delivery order is preserved.
+        it and FIFO delivery order is preserved.  The event's value is
+        the delivery time.
         """
-        delivered = Event(self.env)
-        self._transmit_queue.put((size_bytes, delivered, extra_delay_ms))
-        if not self._pump_running:
-            self._pump_running = True
-            # Replaces the pump process's bootstrap: one event at the
-            # same position whose dispatch starts the pump loop.
-            wake = Event(self.env)
-            wake.callbacks.append(self._on_pump_wake)
-            wake.succeed(None)
-        return delivered
-
-    # The pump is a callback state machine rather than a process: the
-    # wake event above starts it, each transmission is one store get
-    # plus one timeout, and each delivery's propagation is a kick event
-    # plus an optional latency timeout.
-
-    def _on_pump_wake(self, _event: Event) -> None:
-        self._pump_step()
-
-    def _pump_step(self) -> None:
-        if self._transmit_queue.is_empty:
-            self._pump_running = False
-            return
-        # The item is buffered, so the get settles immediately and its
-        # dispatch (from the queue, like the generator's yield of an
-        # already-triggered event) hands it to _on_item.
-        request = self._transmit_queue.get()
-        request.callbacks.append(self._on_item)
-
-    def _on_item(self, request: Event) -> None:
-        size_bytes, delivered, extra_delay_ms = request.value
-        self._current = (size_bytes, delivered, extra_delay_ms)
-        timeout = self.env.timeout(
-            self.transmission_time(size_bytes) + extra_delay_ms)
-        timeout.callbacks.append(self._on_transmitted)
-
-    def _on_transmitted(self, _event: Event) -> None:
-        size_bytes, delivered, extra_delay_ms = self._current
-        self._current = None
+        env = self.env
+        start = max(env.now, self.busy_until)
+        self.busy_until = start + (self.transmission_time(size_bytes)
+                                   + extra_delay_ms)
         self.bytes_sent += size_bytes
         self.messages_sent += 1
         if extra_delay_ms > 0:
             self.chaos_delay_ms += extra_delay_ms
-        # Propagation happens off-link: schedule delivery without
-        # blocking the next transmission.
-        self._start_latency(delivered)
-        self._pump_step()
-
-    def _start_latency(self, delivered: Event) -> None:
-        """Deliver after the propagation latency (may overlap the next
-        transmission, so the chain carries its context in a closure)."""
-        env = self.env
-
-        def on_kick(_event: Event) -> None:
-            if self.latency_ms > 0:
-                timeout = env.timeout(self.latency_ms)
-
-                def on_latency(_event: Event) -> None:
-                    delivered.succeed(env.now)
-
-                timeout.callbacks.append(on_latency)
-            else:
-                delivered.succeed(env.now)
-
-        kick = Event(env)
-        kick.callbacks.append(on_kick)
-        kick.succeed(None)
+        # Propagation happens off-link: it delays this delivery without
+        # occupying the link.
+        when = self.busy_until + self.latency_ms
+        delivered = Event(env)
+        delivered._ok = True
+        delivered._value = when
+        env.schedule_at(delivered, when)
+        return delivered

@@ -146,45 +146,29 @@ class Network:
     def _start_delivery(self, message: Message, destination: Endpoint,
                         done: Event, link: Link | None, drop: bool = False,
                         extra_delay_ms: float = 0.0) -> None:
-        """Kick off one delivery as a callback chain.
-
-        The kick event's dispatch initiates the link transfer (or the
-        loopback timeout); delivery completes at the dispatch of the
-        transfer's delivered event (or the loopback timeout).
-        """
-        env = self.env
-
+        """Start one delivery: a link transfer, or the loopback delay
+        for a local message; it completes when that event fires."""
         if link is None:
-            def on_kick(_event: Event) -> None:
-                if self.config.loopback_delay_ms > 0:
-                    timeout = env.timeout(self.config.loopback_delay_ms)
+            def on_loopback(_event: Event) -> None:
+                self._finish_delivery(message, destination, done)
 
-                    def on_loopback(_event: Event) -> None:
-                        self._finish_delivery(message, destination, done)
+            self.env.timeout(self.config.loopback_delay_ms).callbacks.append(
+                on_loopback)
+            return
 
-                    timeout.callbacks.append(on_loopback)
-                else:
-                    self._finish_delivery(message, destination, done)
-        else:
-            def on_kick(_event: Event) -> None:
-                delivered = link.transfer(message.size_bytes, extra_delay_ms)
+        def on_delivered(_event: Event) -> None:
+            if drop:
+                # A chaos-dropped message occupies the link but is
+                # never delivered — the sender observes silence, like
+                # a lost datagram; ``done`` never fires, so synchronous
+                # senders must pair it with a timeout (the retry
+                # wrappers do).
+                self.messages_dropped += 1
+                return
+            self._finish_delivery(message, destination, done)
 
-                def on_delivered(_event: Event) -> None:
-                    if drop:
-                        # A chaos-dropped message occupies the link but
-                        # is never delivered — the sender observes
-                        # silence, like a lost datagram; ``done`` never
-                        # fires, so synchronous senders must pair it
-                        # with a timeout (the retry wrappers do).
-                        self.messages_dropped += 1
-                        return
-                    self._finish_delivery(message, destination, done)
-
-                delivered.callbacks.append(on_delivered)
-
-        kick = Event(env)
-        kick.callbacks.append(on_kick)
-        kick.succeed(None)
+        link.transfer(message.size_bytes, extra_delay_ms).callbacks.append(
+            on_delivered)
 
     def _finish_delivery(self, message: Message, destination: Endpoint,
                          done: Event) -> None:

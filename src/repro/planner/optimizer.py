@@ -140,8 +140,7 @@ def _pick_compute_machines(registry: ResourceRegistry,
 def _initial_weights(registry: ResourceRegistry,
                      machine_names: typing.Sequence[str]) -> tuple:
     """Weights proportional to nominal machine speed at plan time."""
-    speeds = [registry.machine(name).cpu.speed_at(0.0)
-              for name in machine_names]
+    speeds = [registry.machine(name).cpu.speed for name in machine_names]
     total = sum(speeds)
     return tuple(speed / total for speed in speeds)
 

@@ -125,7 +125,12 @@ class WorkloadDriver:
         self.env.run(until=arrivals)
         self.scheduler.drain()
         stats = self.scheduler.statistics()
-        makespan = self.env.now - started
+        # Up to the last terminal outcome: timers still pending after
+        # it are not part of the workload.
+        settled = [session.completed_at
+                   for session in self.scheduler.sessions
+                   if session.completed_at is not None]
+        makespan = max(settled, default=self.env.now) - started
         throughput = (stats.completed / (makespan / 1000.0)
                       if makespan > 0 else 0.0)
         return WorkloadReport(

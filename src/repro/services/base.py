@@ -170,14 +170,17 @@ class GridService:
         if timeout_ms is None:
             response = yield reply
             return response
-        winner, value = yield self.env.any_of(
-            [reply, self.env.timeout(timeout_ms)])
+        deadline = self.env.timeout(timeout_ms)
+        winner, value = yield self.env.any_of([reply, deadline])
         if winner is not reply:
             if self._pending_calls.pop(correlation_id, None) is not None:
                 self._settled_calls.add(correlation_id)
             raise ServiceError(
                 f"{self.name}: call {operation!r} to {recipient} timed "
                 f"out after {timeout_ms} ms")
+        # The reply won: the deadline must neither fire nor stretch
+        # the simulated clock past the call.
+        self.env.cancel(deadline)
         return value
 
     def _call_with_retry(self, recipient: str, operation: str,
@@ -217,6 +220,8 @@ class GridService:
                 yield self.env.timeout(
                     self.machine.frozen_until - self.env.now)
             self._route(message)
+            # A parked loop must not pin the last message it routed.
+            del message
 
     def _route(self, message: Message) -> None:
         if message.kind == KIND_RESPONSE:

@@ -47,9 +47,17 @@ changes the order in which events fire, which is lexicographic in
   current instant), the generator resumes in place instead of bouncing
   through the queue.
 
+Two disciplines bound what the kernel retains.  A processed event
+drops its callback list, and a finished process drops its generator,
+so nothing that once waited on a long-lived event stays reachable
+through it.  :meth:`Environment.cancel` withdraws a settled timer
+lazily: the event stays in the heap, is skipped when popped, and an
+entry holding only withdrawn events does not advance the clock.
+
 :attr:`Environment.events_scheduled` counts the events passed to
-:meth:`Environment.schedule`; once the queue drains it equals the
-number of dispatches.
+:meth:`Environment.schedule` and :meth:`Environment.schedule_at`; once
+the queue drains it equals the number of dispatches plus
+:attr:`Environment.events_cancelled`.
 """
 
 from __future__ import annotations
@@ -129,9 +137,11 @@ class Process(Event):
                 else:
                     target = self._generator.throw(trigger.value)
             except StopIteration as stop:
+                self._generator = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
+                self._generator = None
                 self.fail(exc)
                 return
             if not isinstance(target, Event):
@@ -212,6 +222,9 @@ class Environment:
         #: event (guards the inline resume).
         self._mid_dispatch = False
         self._resume_pool: list[_ResumeEvent] = []
+        #: Withdrawn events: all of them, and those still in the heap.
+        self._cancelled = 0
+        self._cancelled_pending = 0
 
     @property
     def now(self) -> float:
@@ -229,6 +242,11 @@ class Environment:
         """
         return self._seq
 
+    @property
+    def events_cancelled(self) -> int:
+        """Scheduled events withdrawn by :meth:`cancel`, never dispatched."""
+        return self._cancelled
+
     # -- scheduling ----------------------------------------------------
 
     def schedule(self, event: Event, delay: float = 0.0,
@@ -236,8 +254,19 @@ class Environment:
         """Queue a triggered event to be processed ``delay`` from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
+        self.schedule_at(event, self._now + delay, priority)
+
+    def schedule_at(self, event: Event, when: float,
+                    priority: int = PRIORITY_NORMAL) -> None:
+        """Queue a triggered event to be processed at time ``when``.
+
+        The absolute form keeps a timestamp computed elsewhere exact:
+        ``now + (when - now)`` need not round back to ``when``.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past: {when} < {self._now}")
         self._seq += 1
-        when = self._now + delay
         if priority == PRIORITY_NORMAL:
             if when == self._now:
                 entry = self._open_now
@@ -273,6 +302,44 @@ class Environment:
             heapq.heappush(
                 self._queue,
                 [when, (priority << _SEQ_BITS) | self._seq, event])
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw a scheduled event: it will never be dispatched.
+
+        Meant for timers whose race is already decided (a call's
+        deadline once the reply won).  Deletion is lazy: the heap entry
+        stays until popped, and an entry holding only withdrawn events
+        is discarded without advancing the clock.  Cancelling an event
+        that was processed or already withdrawn does nothing.
+        """
+        if event._processed or event._cancelled:
+            return
+        if not event.triggered:
+            raise SimulationError(f"cannot cancel unscheduled {event!r}")
+        event._cancelled = True
+        self._cancelled += 1
+        self._cancelled_pending += 1
+
+    def _live(self, payload):
+        """``payload`` without its withdrawn events, or None if nothing
+        is left; the withdrawn ones leave the pending count."""
+        if type(payload) is list:
+            live = [event for event in payload if not event._cancelled]
+            self._cancelled_pending -= len(payload) - len(live)
+            if not live:
+                return None
+            return live if len(live) > 1 else live[0]
+        if payload._cancelled:
+            self._cancelled_pending -= 1
+            return None
+        return payload
+
+    def _close(self, entry: list) -> None:
+        """Stop merging into a heap entry discarded without dispatch."""
+        if entry is self._open_now:
+            self._open_now = None
+        elif self._open.get(entry[0]) is entry:
+            del self._open[entry[0]]
 
     def _requeue_batch(self) -> None:
         """Push the undrained rest of the current batch back onto the
@@ -320,12 +387,21 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._batch is not None:
             return self._now
-        if not self._queue:
+        queue = self._queue
+        while self._cancelled_pending and queue:
+            entry = queue[0]
+            payload = self._live(entry[2])
+            if payload is not None:
+                entry[2] = payload
+                break
+            heapq.heappop(queue)
+            self._close(entry)
+        if not queue:
             return float("inf")
-        return self._queue[0][0]
+        return queue[0][0]
 
     def step(self) -> None:
-        """Process exactly one scheduled event."""
+        """Process the next scheduled event, if it was not withdrawn."""
         batch = self._batch
         if batch is not None:
             index = self._batch_index
@@ -336,11 +412,21 @@ class Environment:
                 self._batch_index = 0
             else:
                 self._batch_index = index
+            if event._cancelled:
+                self._cancelled_pending -= 1
+                return
             self._dispatch(event)
             return
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
         entry = heapq.heappop(self._queue)
+        if self._cancelled_pending:
+            payload = self._live(entry[2])
+            if payload is None:
+                # Only withdrawn events: the clock does not move.
+                self._close(entry)
+                return
+            entry[2] = payload
         when = entry[0]
         if when > self._now:
             # The clock advances: the reached timestamp is closed for
@@ -368,12 +454,12 @@ class Environment:
         self._dispatch(payload)
 
     def _dispatch(self, event: Event) -> None:
-        """Fire one event's callbacks and mark it processed.
+        """Fire one event's callbacks, mark it processed, drop them.
 
         Callbacks are iterated in place: every callback appended
         post-trigger is guarded by a ``processed`` check
         (``Process._resume``, ``_observe``), so no copy of the list is
-        needed.
+        needed, and none is left to run once the list has been walked.
         """
         callbacks = event.callbacks
         event._processed = True
@@ -394,10 +480,10 @@ class Environment:
                 # A failed event nobody waits on would silently swallow
                 # the error; surface it instead.
                 raise event._value
+        callbacks.clear()
         if type(event) is _ResumeEvent:
             # Internal-only event: no user code holds a reference, so
             # it can be reset and recycled.
-            callbacks.clear()
             event._value = _UNSET
             event._ok = None
             event._processed = False

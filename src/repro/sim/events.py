@@ -39,7 +39,10 @@ class Event:
     the event becomes *processed*.
 
     Processes wait on events by ``yield``-ing them; see
-    :class:`repro.sim.environment.Process`.
+    :class:`repro.sim.environment.Process`.  Once processed, an event
+    keeps its value but drops its callbacks, so a long-lived event
+    (a query's completion signal) does not pin everything that ever
+    waited on it.
 
     Events are slotted: simulations allocate one per timeout, CPU task
     and store operation, so the per-instance ``__dict__`` is worth
@@ -47,7 +50,8 @@ class Event:
     tuple when they add no attributes).
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed")
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed",
+                 "_cancelled")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -55,6 +59,9 @@ class Event:
         self._value: typing.Any = _UNSET
         self._ok: bool | None = None
         self._processed = False
+        #: Set by :meth:`Environment.cancel`: the event stays triggered
+        #: but is never dispatched.
+        self._cancelled = False
 
     @property
     def triggered(self) -> bool:
@@ -103,9 +110,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    def _mark_processed(self) -> None:
-        self._processed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else (

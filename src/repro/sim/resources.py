@@ -4,20 +4,22 @@ Each simulated machine owns one :class:`Cpu` per core (the evaluation
 machines in the paper are single-CPU Linux boxes, so the default is a
 single FIFO server).  Work is expressed in *work units*: milliseconds
 of CPU time on a machine of speed 1.0.  The actual service time of a
-task is ``work / speed``, with the speed sampled when the task starts
-service, so time-varying load profiles take effect as tasks begin.
+task is ``work / speed``.
+
+The server schedules one event per task: a task that starts service
+is itself scheduled at its completion time, with the server's
+completion bookkeeping as its first callback, so the task's waiters
+run in the same dispatch.  An idle server starts a submitted task at
+once.
 """
 
 from __future__ import annotations
 
 import collections
-import typing
 
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-
-SpeedFunction = typing.Callable[[float], float]
 
 
 class CpuTask(Event):
@@ -40,28 +42,20 @@ class CpuTask(Event):
 class Cpu:
     """A FIFO single-server CPU.
 
-    ``speed`` may be a constant or a function of simulation time; a
-    speed of 2.0 halves service times.  Utilisation statistics are kept
-    so experiments can report busy/idle breakdowns.
+    ``speed`` is a positive factor: a speed of 2.0 halves service
+    times.  Utilisation statistics are kept so experiments can report
+    busy/idle breakdowns.
     """
 
-    def __init__(self, env: Environment,
-                 speed: float | SpeedFunction = 1.0) -> None:
+    def __init__(self, env: Environment, speed: float = 1.0) -> None:
         self.env = env
-        if callable(speed):
-            self._speed_fn: SpeedFunction = speed
-        else:
-            if speed <= 0:
-                raise SimulationError(f"cpu speed must be positive: {speed}")
-            constant = float(speed)
-            self._speed_fn = lambda _t: constant
+        if speed <= 0:
+            raise SimulationError(f"cpu speed must be positive: {speed}")
+        self.speed = float(speed)
         self._pending: collections.deque[CpuTask] = collections.deque()
+        #: True from a burst's first task until the queue runs dry,
+        #: freeze waits included.
         self._serving = False
-        #: The task currently in service and its computed duration,
-        #: carried between ``_serve_step`` scheduling the service
-        #: timeout and ``_on_task_done`` completing the task.
-        self._current: CpuTask | None = None
-        self._current_duration = 0.0
         self._frozen_until = 0.0
         self._closed = False
         self.busy_time = 0.0
@@ -71,13 +65,6 @@ class Cpu:
         #: completion.  Must be a pure recorder (no events, no CPU
         #: charges) so attaching one cannot change the simulation.
         self.queue_sampler = None
-
-    def speed_at(self, time: float) -> float:
-        """Effective speed factor at ``time``."""
-        value = self._speed_fn(time)
-        if value <= 0:
-            raise SimulationError(f"cpu speed function returned {value}")
-        return value
 
     @property
     def queue_length(self) -> int:
@@ -93,13 +80,8 @@ class Cpu:
         if self.queue_sampler is not None:
             self.queue_sampler.sample(self.queue_length)
         if not self._serving and not self._closed:
-            # Claim the server slot synchronously: the server only
-            # starts on the next kernel step, and a second execute()
-            # call in the meantime must not wake it twice.
             self._serving = True
-            wake = Event(self.env)
-            wake.callbacks.append(self._on_wake)
-            wake.succeed(None)
+            self._serve_next()
         return task
 
     def freeze_until(self, until: float) -> None:
@@ -122,69 +104,52 @@ class Cpu:
         crucially *without* scheduling anything, which keeps
         ``env.run()`` terminating (an infinite ``freeze_until`` would
         park the server behind an unbounded timeout event instead).
-        The task already in service completes: its timeout is on the
+        The task already in service completes: its event is on the
         heap and fail-stop is modelled at the service layer, where the
         host's endpoints are already deactivated.
         """
         self._closed = True
 
-    def _on_wake(self, _event: Event) -> None:
-        """Burst start: the wake event scheduled by :meth:`execute` fired."""
-        self._serve_step()
-
     def _on_thaw(self, _event: Event) -> None:
         """A freeze-wait timeout expired; re-check and keep serving."""
-        self._serve_step()
+        self._serve_next()
 
-    def _on_task_done(self, _event: Event) -> None:
-        """The in-service task's timeout fired: complete it, continue."""
-        task = self._current
-        duration = self._current_duration
-        self._current = None
-        self.busy_time += duration
+    def _on_task_done(self, task: CpuTask) -> None:
+        """First callback of a finishing task: account it, serve on."""
+        self.busy_time += task._value
         self.tasks_completed += 1
         if self.queue_sampler is not None:
             self.queue_sampler.sample(self.queue_length - 1)
-        task.succeed(duration)
-        self._serve_step()
+        self._serve_next()
 
-    def _serve_step(self) -> None:
-        """Advance the FIFO server as far as it can go without waiting.
+    def _serve_next(self) -> None:
+        """Start the head of the queue, or park the server.
 
-        The server is a callback state machine rather than a process:
-        a burst starts at the dispatch of the wake event scheduled by
-        :meth:`execute`, each freeze wait and each task's service is
-        one timeout whose dispatch runs the completion bookkeeping,
-        and the burst ends by parking without scheduling anything.
+        Called with ``_serving`` set.  A started task is scheduled at
+        its completion time; a freeze schedules one thaw timeout; an
+        empty queue ends the burst; a closed gate parks the server
+        forever without scheduling anything.
         """
         env = self.env
+        if self._closed:
+            return
         pending = self._pending
-        while True:
-            if self._closed:
-                # Crashed: park forever without scheduling.  _serving
-                # stays True so no wake event is ever created again.
-                return
-            if not pending:
-                self._serving = False
-                return
-            if self._frozen_until > env._now:
-                timeout = env.timeout(self._frozen_until - env._now)
-                timeout.callbacks.append(self._on_thaw)
-                return
-            task = pending.popleft()
-            task.started_at = env._now
-            duration = task.work / self.speed_at(env._now)
-            if duration > 0:
-                self._current = task
-                self._current_duration = duration
-                timeout = env.timeout(duration)
-                timeout.callbacks.append(self._on_task_done)
-                return
-            self.busy_time += duration
-            self.tasks_completed += 1
-            if self.queue_sampler is not None:
-                self.queue_sampler.sample(self.queue_length - 1)
-            task.succeed(duration)
+        if not pending:
+            self._serving = False
+            return
+        if self._frozen_until > env._now:
+            timeout = env.timeout(self._frozen_until - env._now)
+            timeout.callbacks.append(self._on_thaw)
+            return
+        task = pending.popleft()
+        task.started_at = env._now
+        duration = task.work / self.speed
+        task._ok = True
+        task._value = duration
+        # Waiters may have subscribed while the task was queued; the
+        # server's bookkeeping and the next start still come first.
+        task.callbacks.insert(0, self._on_task_done)
+        env.schedule(task, duration)
 
     def utilisation(self, horizon: float | None = None) -> float:
         """Fraction of time busy over ``[0, horizon]`` (default: now)."""

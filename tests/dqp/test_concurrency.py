@@ -60,10 +60,16 @@ class TestConcurrentQueries:
 
     def test_queries_get_distinct_service_names(self):
         grid = DemoGrid(SPEC)
-        first, second = self.submit_both(grid)
+        adaptivity = AdaptivityConfig.disabled()
+        # A settled handle keeps only its outcome: read the services
+        # while both queries are deployed.
+        first = grid.processor.gdqs.submit(Q1, adaptivity)
+        second = grid.processor.gdqs.submit(Q2, adaptivity)
         names_1 = {g.name for g in first.runtime.all_gqes()}
         names_2 = {g.name for g in second.runtime.all_gqes()}
         assert not names_1 & names_2
+        grid.context.env.run()
+        assert first.result is not None and second.result is not None
 
 
 class TestUtilisationAccounting:

@@ -207,6 +207,7 @@ class TestRecovery:
         handle = grid.processor.gdqs.submit(
             Q1, AdaptivityConfig(response=RESPONSE_R1,
                                  decision_latency_ms=100.0))
+        runtime = handle.runtime  # the settled handle drops it
         grid.context.env.run(until=handle.done)
         grid.context.env.run()
         result = handle.result
@@ -214,7 +215,7 @@ class TestRecovery:
                            q1_reference(grid))
         assert result.stats.machines_recovered == 1
         # No feed producer is left mid-move.
-        for _endpoint, producer in handle.runtime.feed_producers:
+        for _endpoint, producer in runtime.feed_producers:
             assert not producer.moving
 
     def test_suspect_quarantine_survives_failed_recovery(self, monkeypatch):

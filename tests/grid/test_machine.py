@@ -129,5 +129,5 @@ def test_grid_context_wires_machines_and_registry():
     context = GridContext(seed=1)
     context.add_machine("m1", speed=1.5)
     context.add_machine("m2", compute=False)
-    assert context.machine("m1").cpu.speed_at(0.0) == 1.5
+    assert context.machine("m1").cpu.speed == 1.5
     assert context.registry.compute_machines() == ["m1"]

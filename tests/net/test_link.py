@@ -71,3 +71,17 @@ def test_invalid_link_parameters_rejected():
         Link(env, latency_ms=-1.0, bandwidth_bytes_per_ms=1.0)
     with pytest.raises(ConfigurationError):
         Link(env, latency_ms=0.0, bandwidth_bytes_per_ms=0.0)
+
+
+def test_a_transfer_is_one_delivery_event():
+    """The link is an analytic FIFO: each transfer schedules only its
+    delivery, at (start + transmission) + latency."""
+    env = Environment()
+    link = Link(env, latency_ms=0.5, bandwidth_bytes_per_ms=3.0)
+    first = link.transfer(1)
+    second = link.transfer(2, extra_delay_ms=0.25)
+    assert env.events_scheduled == 2
+    assert link.busy_until == (1 / 3.0) + (2 / 3.0 + 0.25)
+    env.run()
+    assert first.value == 1 / 3.0 + 0.5
+    assert second.value == link.busy_until + 0.5 == env.now

@@ -53,24 +53,28 @@ SCENARIOS = {
 #: processes they replaced, and inline resumes stopped counting a
 #: resume event that is never queued: ``events_scheduled`` now counts
 #: only events passed to ``schedule()``.  Rows, trace, response time
-#: and adaptations are byte-equal to the previous capture.
+#: and adaptations are byte-equal to the previous capture.  It was
+#: recaptured (alone) again when a CPU task became its own completion
+#: event and a link transfer a single delivery event (no wake, service
+#: timeout, succeed hop or kick events), and a call's deadline timer
+#: is withdrawn once the reply wins.
 GOLDEN = {
     "Q1-ws10|A1R1|seed0": ("260d2403bcd62319", "9555e62173ad650c",
-                           5948.63551999999, 4129, 1),
+                           5948.63551999999, 1733, 1),
     "Q1-ws10|A1R1|seed1": ("afa4d010a63af86b", "9555e62173ad650c",
-                           5948.63551999999, 4129, 1),
+                           5948.63551999999, 1733, 1),
     "Q1-ws10|A1R2|seed0": ("63d5b0518482a56f", "53c5c363f7e4aaaa",
-                           14868.38032, 3663, 1),
+                           14868.38032, 1423, 1),
     "Q1-ws10|A1R2|seed1": ("d3d46eed8a15f59b", "53c5c363f7e4aaaa",
-                           14868.38032, 3663, 1),
+                           14868.38032, 1423, 1),
     "Q1-ws10|A2R1|seed0": ("260d2403bcd62319", "5817e1115e45d012",
-                           5935.240319999991, 4124, 1),
+                           5935.240319999991, 1729, 1),
     "Q1-ws10|A2R1|seed1": ("afa4d010a63af86b", "5817e1115e45d012",
-                           5935.240319999991, 4124, 1),
+                           5935.240319999991, 1729, 1),
     "Q1-ws10|A2R2|seed0": ("63d5b0518482a56f", "53c5c363f7e4aaaa",
-                           14868.38032, 3663, 1),
+                           14868.38032, 1423, 1),
     "Q1-ws10|A2R2|seed1": ("d3d46eed8a15f59b", "53c5c363f7e4aaaa",
-                           14868.38032, 3663, 1),
+                           14868.38032, 1423, 1),
     # The Q2 fingerprints were recaptured when the hash join's build
     # channel became a state channel (the producer retains routed rows
     # and copy-replays moved buckets on *every* bucket-map change, not
@@ -81,21 +85,21 @@ GOLDEN = {
     # the critical path — and the result multiset was verified against
     # the static plan before recapturing.
     "Q2-sleep20|A1R1|seed0": ("d42954e95661552e", "07c7f3e25ab74981",
-                              10349.951840000007, 8233, 1),
+                              10349.951840000007, 3573, 1),
     "Q2-sleep20|A1R1|seed1": ("b43ead367341c463", "6c12fece9e8ae643",
-                              10327.11816, 8164, 1),
+                              10327.11816, 3541, 1),
     "Q2-sleep20|A1R2|seed0": ("08752dd6285e1250", "e3510693aa45c0ec",
-                              15005.757439999994, 7627, 1),
+                              15005.757439999994, 3323, 1),
     "Q2-sleep20|A1R2|seed1": ("9c9bae50fd80fa62", "2009cd22b977053e",
-                              15325.052159999994, 7570, 1),
+                              15325.052159999994, 3299, 1),
     "Q2-sleep20|A2R1|seed0": ("cc7f60e30985a8fa", "2bc8ca32cf48a179",
-                              10902.454240000001, 8072, 1),
+                              10902.454240000001, 3497, 1),
     "Q2-sleep20|A2R1|seed1": ("ec0834e7b784cec8", "eb37719660c54855",
-                              10560.734559999999, 8093, 1),
+                              10560.734559999999, 3505, 1),
     "Q2-sleep20|A2R2|seed0": ("08752dd6285e1250", "bc4a3da2cb0187b9",
-                              15005.757439999994, 7526, 1),
+                              15005.757439999994, 3274, 1),
     "Q2-sleep20|A2R2|seed1": ("9c9bae50fd80fa62", "fd5aca34782d4721",
-                              15325.052159999994, 7493, 1),
+                              15325.052159999994, 3262, 1),
 }
 
 

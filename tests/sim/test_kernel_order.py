@@ -9,7 +9,9 @@ everything pending.  Coalesced entries, pooled resume events and
 inline resumes are host-side disciplines, so none of them may show in
 that order.  An inline resume stands for a resume event scheduled at
 ``(now, normal)``; it is legal only when that event would have been
-the very next one dispatched.
+the very next one dispatched.  A withdrawn (cancelled) timer leaves
+the pending set at once: it is never dispatched, and the clock never
+reaches a timestamp that held only withdrawn timers.
 """
 
 import hypothesis.strategies as st
@@ -27,12 +29,19 @@ class RecordingEnvironment(Environment):
         #: id(event) -> (time, priority, schedule order) while queued.
         self.pending: dict[int, tuple] = {}
         self.dispatches = 0
+        #: Time of the latest dispatch.
+        self.last_dispatch = 0.0
         #: Callbacks still to run in the current dispatch.
         self.remaining = 0
 
-    def schedule(self, event, delay=0.0, priority=PRIORITY_NORMAL):
-        super().schedule(event, delay, priority)
-        self.pending[id(event)] = (self._now + delay, priority, self._seq)
+    def schedule_at(self, event, when, priority=PRIORITY_NORMAL):
+        super().schedule_at(event, when, priority)
+        self.pending[id(event)] = (when, priority, self._seq)
+
+    def cancel(self, event):
+        super().cancel(event)
+        if event._cancelled:
+            self.pending.pop(id(event), None)
 
     def _dispatch(self, event):
         key = self.pending.pop(id(event))
@@ -40,6 +49,7 @@ class RecordingEnvironment(Environment):
         assert all(key < other for other in self.pending.values()), (
             key, sorted(self.pending.values())[:3])
         self.dispatches += 1
+        self.last_dispatch = self._now
         callbacks = event.callbacks
         last = len(callbacks) - 1
         for index, callback in enumerate(callbacks):
@@ -76,6 +86,8 @@ OPS = st.one_of(
     st.tuples(st.just("shared"), st.integers(0, 3)),
     st.tuples(st.just("processed"), st.just(0)),
     st.tuples(st.just("spawn"), DELAYS),
+    st.tuples(st.just("cancel"), DELAYS),
+    st.tuples(st.just("cancel_shared"), st.integers(0, 3)),
 )
 PROGRAMS = st.lists(st.lists(OPS, min_size=1, max_size=6),
                     min_size=1, max_size=4)
@@ -88,6 +100,8 @@ RUN_CALLS = st.lists(st.one_of(
 def run_program(programs, run_calls):
     env = RecordingEnvironment()
     shared = [env.timeout(delay) for delay in (0.0, 1.0, 1.0, 2.5)]
+    #: A second set nobody waits on, withdrawn by "cancel_shared".
+    spare = [env.timeout(delay) for delay in (0.0, 1.0, 1.0, 3.5)]
     done = env.event()
     done.succeed()
     inline_resumes = []
@@ -116,10 +130,15 @@ def run_program(programs, run_calls):
                 yield from wait(shared[arg])
             elif op == "processed":
                 yield from wait(done)
+            elif op == "cancel":
+                env.cancel(env.timeout(arg))
+            elif op == "cancel_shared":
+                env.cancel(spare[arg])
             else:
                 assert (yield from wait(env.process(child(arg)))) == arg
 
     processes = [env.process(body(ops)) for ops in programs]
+    horizon = 0.0
     for kind, arg in run_calls:
         if kind == "time":
             horizon = env.now + arg
@@ -132,6 +151,8 @@ def run_program(programs, run_calls):
     env.run()
     assert all(process.processed for process in processes)
     assert not env.pending
+    # Withdrawn timers never move the clock.
+    assert env.now == max(env.last_dispatch, horizon)
     return env, inline_resumes
 
 
@@ -149,7 +170,7 @@ def test_dispatch_order_is_lexicographic(programs, run_calls):
 @oracle_settings
 def test_events_scheduled_equals_dispatches_once_drained(programs, run_calls):
     env, _inline = run_program(programs, run_calls)
-    assert env.events_scheduled == env.dispatches
+    assert env.events_scheduled == env.dispatches + env.events_cancelled
 
 
 def test_inline_resume_is_exercised():
@@ -160,8 +181,8 @@ def test_inline_resume_is_exercised():
 
 
 def test_grid_run_events_scheduled_equals_dispatches(monkeypatch):
-    """End to end: a perturbed adaptive Q1 schedules no event that it
-    does not dispatch."""
+    """End to end: a perturbed adaptive Q1 dispatches every event it
+    schedules, except the call deadlines it withdrew."""
     from repro.config import AdaptivityConfig
     from repro.workloads import DemoGrid, DemoGridSpec, Q1, perturb_ws_cost
 
@@ -179,5 +200,7 @@ def test_grid_run_events_scheduled_equals_dispatches(monkeypatch):
                                  sequence_length=24))
     perturb_ws_cost(grid, 10.0)
     grid.run(Q1, AdaptivityConfig(assessment="A1", response="R2"))
-    grid.context.env.run()
-    assert grid.context.env.events_scheduled == dispatches
+    env = grid.context.env
+    env.run()
+    assert env.events_cancelled > 0
+    assert env.events_scheduled == dispatches + env.events_cancelled

@@ -34,22 +34,6 @@ def test_tasks_are_served_fifo():
     assert finish == {"first": 3.0, "second": 5.0}
 
 
-def test_time_varying_speed_sampled_at_start():
-    env = Environment()
-    # Speed 1.0 until t=10, then 0.5 (machine perturbed).
-    cpu = Cpu(env, speed=lambda t: 1.0 if t < 10 else 0.5)
-
-    def body(env):
-        yield env.timeout(10.0)
-        start = env.now
-        yield cpu.execute(4.0)
-        return env.now - start
-
-    proc = env.process(body(env))
-    env.run()
-    assert proc.value == pytest.approx(8.0)
-
-
 def test_cpu_tracks_utilisation():
     env = Environment()
     cpu = Cpu(env)
@@ -105,3 +89,18 @@ def test_queue_length_counts_waiting_and_running():
     proc = env.process(submit(env))
     env.run(until=proc)
     assert proc.value == 3
+
+
+def test_each_task_is_its_own_completion_event():
+    """An idle server starts a task at once and schedules exactly one
+    event per task: its completion, whose waiters run in the same
+    dispatch."""
+    env = Environment()
+    cpu = Cpu(env)
+    tasks = [cpu.execute(work) for work in (2.0, 3.0, 0.0)]
+    assert tasks[0].started_at == 0.0
+    assert cpu.queue_length == 3
+    env.run()
+    assert env.events_scheduled == 3
+    assert [task.value for task in tasks] == [2.0, 3.0, 0.0]
+    assert env.now == 5.0 and cpu.busy_time == 5.0
