@@ -11,6 +11,9 @@ Two contracts, cheap enough for every CI run:
   runs at 50 machines and at 200; the host milliseconds spent per
   admitted query may at most double across the 4x fleet growth
   (timings go to stderr so stdout stays diffable).
+* **Placement builds only what it places.**  The compute machines
+  built by the run are exactly the compute machines some session was
+  placed on.
 * **A heap bounded by the queries in flight.**  With ``--budget`` the
   GC-tracked objects still alive after the drain (and a collection)
   may average at most 200 per settled query: a query's outcome and its
@@ -69,8 +72,15 @@ def run_fleet(machines: int, sites: int, queries: int):
                               event.data)).encode())
     stats = scheduler.statistics()
     registry = grid.context.registry
-    materialized = sum(1 for name in grid.compute_machines
-                       if registry.is_materialized(name))
+    built = {name for name in grid.compute_machines
+             if registry.is_materialized(name)}
+    placed = {name for session in scheduler.sessions
+              for name in session.machines if registry.is_compute(name)}
+    # Placement may build only what it places: a pick that builds a
+    # lazy machine and then rejects it shows up as a built-only name.
+    assert built == placed, (
+        f"built but never placed: {sorted(built - placed)}; "
+        f"placed but not built: {sorted(placed - built)}")
     digest = {
         "machines": machines,
         "sites": sites,
@@ -80,7 +90,7 @@ def run_fleet(machines: int, sites: int, queries: int):
         "outcomes": len(outcomes),
         "events": grid.context.env.events_scheduled,
         "timeline_sha": timeline.hexdigest(),
-        "materialized": materialized,
+        "materialized": len(built),
     }
     return digest, host_s, retained
 

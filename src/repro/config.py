@@ -230,34 +230,26 @@ class FaultToleranceConfig:
 
 @dataclasses.dataclass(frozen=True)
 class SchedulerConfig:
-    """Multi-query scheduler parameters (admission and fair sharing).
+    """Multi-query scheduler parameters (admission and placement).
 
     The scheduler runs at most ``max_concurrent`` queries at once,
     holds up to ``max_queued`` more in a FIFO admission queue, and
     refuses further submissions with
-    :class:`~repro.errors.AdmissionRejected`.  When ``fair_share`` is
-    on, each running session charges ``session_weight`` shares against
-    every machine its subplans occupy; the share ledger steers new
-    sessions toward the least-loaded machines and reports capacity
-    pressure where committed shares exceed ``machine_capacity`` (see
-    :meth:`repro.grid.machine.Machine.contention_factor`).  The
-    contention itself comes from co-resident sessions queueing at
-    each machine's FIFO CPU, with or without the ledger.
+    :class:`~repro.errors.AdmissionRejected`.  Each running session
+    charges one share against every machine its subplans occupy; the
+    share ledger steers new sessions toward the least-loaded machines
+    and reports capacity pressure where a machine holds more than one
+    session (see :meth:`repro.grid.machine.Machine.contention_factor`).
+    The contention itself comes from co-resident sessions queueing at
+    each machine's FIFO CPU.  A machine-health circuit breaker (see
+    :mod:`repro.sched.health`) is always on; it is pure bookkeeping
+    until a query fails.
     """
 
     #: Sessions allowed to execute simultaneously.
     max_concurrent: int = 4
     #: Bounded FIFO admission queue behind the running set.
     max_queued: int = 16
-    #: Whether sessions charge capacity shares on their machines.
-    fair_share: bool = True
-    #: Shares one running session charges on each machine it uses.
-    session_weight: float = 1.0
-    #: Shares a machine absorbs before reporting capacity pressure.
-    machine_capacity: float = 1.0
-    #: Prefer the least-loaded compute machines when a session's
-    #: parallelism degree does not need the whole pool.
-    load_aware_placement: bool = True
     #: Per-query deadline (per attempt): a session executing longer
     #: than this is aborted with a typed ``deadline-exceeded`` failure
     #: and its FairShare capacity released.  ``None`` (default) never
@@ -272,22 +264,14 @@ class SchedulerConfig:
     #: retries; deadline timeouts are terminal regardless (retrying a
     #: query that already spent its SLA only doubles the damage).
     retry: RetryPolicy | None = None
-    #: Circuit breaker: consecutive-window failure count that opens a
-    #: machine's breaker (placement steers away until a cooled-down
-    #: half-open probe succeeds).  0 disables the health ledger.
-    breaker_threshold: int = 3
-    #: Sliding window over which failures accumulate toward the
-    #: threshold.
-    breaker_window_ms: float = 30000.0
-    #: Time an open breaker waits before half-opening one probe.
-    breaker_cooldown_ms: float = 60000.0
     #: Candidate budget for load-aware placement: the scheduler hands
     #: the optimizer only the ``placement_candidates`` least-loaded
     #: machines (plus any breaker-tripped stragglers) instead of the
     #: whole fleet's ordering.  ``None`` (default) emits the full
-    #: order — bit-identical to the legacy sort-everything path; an
-    #: integer bounds per-placement work for fleet-scale grids and
-    #: must cover the largest parallelism degree submitted.
+    #: order; an integer bounds per-placement work for fleet-scale
+    #: grids.  A degree larger than the budget still places: the
+    #: optimizer's walk continues through the rest of the pool in
+    #: registry order.
     placement_candidates: int | None = None
 
     def __post_init__(self) -> None:
@@ -297,13 +281,6 @@ class SchedulerConfig:
         if self.max_queued < 0:
             raise ConfigurationError(
                 f"max_queued must be >= 0: {self.max_queued}")
-        if self.session_weight <= 0:
-            raise ConfigurationError(
-                f"session_weight must be positive: {self.session_weight}")
-        if self.machine_capacity <= 0:
-            raise ConfigurationError(
-                f"machine_capacity must be positive: "
-                f"{self.machine_capacity}")
         if self.query_timeout_ms is not None and self.query_timeout_ms <= 0:
             raise ConfigurationError(
                 f"query_timeout_ms must be positive or None: "
@@ -313,13 +290,6 @@ class SchedulerConfig:
                 "scheduler retry must be bounded (max_attempts set): "
                 "an unbounded retry against a permanently failing "
                 "query never terminates")
-        if self.breaker_threshold < 0:
-            raise ConfigurationError(
-                f"breaker_threshold must be >= 0: "
-                f"{self.breaker_threshold}")
-        if self.breaker_window_ms <= 0 or self.breaker_cooldown_ms <= 0:
-            raise ConfigurationError(
-                "breaker window and cooldown must be positive")
         if (self.placement_candidates is not None
                 and self.placement_candidates < 1):
             raise ConfigurationError(

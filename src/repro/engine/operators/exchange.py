@@ -435,9 +435,12 @@ class ExchangeProducer(UnaryOperator):
             attempt += 1
             delivered = self.service.send(endpoint, KIND_DATA, payload,
                                           size_bytes=wire_bytes)
-            winner, _ = yield self.env.any_of(
-                [delivered, self.env.timeout(policy.timeout_ms)])
+            timer = self.env.timeout(policy.timeout_ms)
+            winner, _ = yield self.env.any_of([delivered, timer])
             if winner is delivered:
+                # The delivery won: the timer must neither fire nor
+                # stretch the simulated clock past the send.
+                self.env.cancel(timer)
                 return
             self.send_retries += 1
             chaos.count_retry("send")

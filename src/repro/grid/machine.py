@@ -55,16 +55,12 @@ class Machine:
     def __init__(self, env: Environment, name: str,
                  speed: float = 1.0,
                  rng: random.Random | None = None,
-                 capacity: float = 1.0,
                  metrics=None) -> None:
         self.env = env
         self.name = name
         self.cpu = Cpu(env, speed=speed)
         self.perturbations: list[Perturbation] = []
         self._rng = rng or random.Random(0)
-        #: Session-shares this machine serves without capacity
-        #: pressure; the denominator of :meth:`contention_factor`.
-        self.capacity = float(capacity)
         self._shares: dict[str, float] = {}
         #: End of the current chaos-injected stall window (sim ms);
         #: 0.0 (i.e. the past) means not frozen.
@@ -113,22 +109,17 @@ class Machine:
     def contention_factor(self) -> float:
         """Capacity pressure from resident sessions (an observable).
 
-        1.0 while committed shares fit the capacity, and
-        ``shares / capacity`` beyond it — the slowdown a session
-        should *expect* here if every resident neighbour keeps the
-        FIFO CPU busy.  Reported through scheduler telemetry and used
-        for load-aware placement; it is deliberately **not** charged
-        to CPU bursts, because the shared FIFO server already makes
-        co-resident sessions queue behind each other (multiplying
-        work on top would double-count the interference and penalise
-        sessions for idle neighbours).
+        1.0 while the committed shares fit the machine's capacity of
+        one session, and the share count beyond it — the slowdown a
+        session should *expect* here if every resident neighbour keeps
+        the FIFO CPU busy.  Reported through scheduler and machine
+        telemetry; it is deliberately **not** charged to CPU bursts,
+        because the shared FIFO server already makes co-resident
+        sessions queue behind each other (multiplying work on top
+        would double-count the interference and penalise sessions for
+        idle neighbours).
         """
-        if not self._shares:
-            return 1.0
-        load = sum(self._shares.values())
-        if load <= self.capacity:
-            return 1.0
-        return load / self.capacity
+        return max(1.0, self.committed_shares)
 
     # -- transient stalls (chaos injection) -----------------------------
 

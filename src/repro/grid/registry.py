@@ -184,6 +184,10 @@ class ResourceRegistry:
         """Names of machines the optimizer may schedule fragments on."""
         return list(self._compute_machines)
 
+    def iter_compute_machines(self) -> typing.Iterator[str]:
+        """The compute names in registration order, without a copy."""
+        return iter(self._compute_machines)
+
     def is_compute(self, name: str) -> bool:
         return name in self._compute_set
 

@@ -38,100 +38,59 @@ from repro.planner.physical import (
 _query_ids = itertools.count(1)
 
 
-def _bounded_pick(registry: ResourceRegistry,
-                  data_hosts: set[str], coordinator: str, degree: int,
-                  machine_order: typing.Sequence[str],
-                  exclude: typing.Container[str]) -> list[str] | None:
-    """Bounded walk: the first ``degree`` valid preferred machines.
-
-    Walks ``machine_order`` collecting names that survive every filter
-    of the reference path below — registered compute, not crashed, not
-    excluded, not a data host or the coordinator.  If ``degree`` names
-    are collected the result equals the reference result exactly:
-
-    * the reference ranks listed machines first, in list order, and
-      unlisted ones after them, so its first ``degree`` entries are
-      the first ``degree`` listed survivors — precisely this walk;
-    * every collected name is in the reference's ``preferred`` (and
-      ``spared``) subsets, so neither of its emptiness fallbacks (use
-      all candidates / waive the blacklist) can have fired.
-
-    Returns None — caller falls back to the reference path — whenever
-    the walk cannot prove equivalence: too few listed survivors, or a
-    duplicated name (the reference ranks duplicates by their *last*
-    occurrence).  Cost is O(walked prefix), independent of fleet size,
-    and crash checks use :meth:`~ResourceRegistry.peek` so the walk
-    never materializes a lazy machine it then rejects.
-    """
-    chosen: list[str] = []
-    seen: set[str] = set()
-    for name in machine_order:
-        if name in seen:
-            return None
-        seen.add(name)
-        if not registry.is_compute(name):
-            continue
-        machine = registry.peek(name)
-        if machine is not None and machine.is_crashed:
-            continue
-        if name in exclude:
-            continue
-        if name in data_hosts or name == coordinator:
-            continue
-        chosen.append(name)
-        if len(chosen) == degree:
-            return chosen
-    return None
-
-
 def _pick_compute_machines(registry: ResourceRegistry,
                            data_hosts: set[str], coordinator: str,
                            degree: int | None,
                            machine_order: typing.Sequence[str] | None = None,
                            exclude: typing.Container[str] = ()
                            ) -> list[str]:
-    if degree is not None and degree >= 1:
-        # With no caller preference the reference path keeps registry
-        # order, so the walk over ``compute_machines()`` is the same
-        # prefix — lazy fleets then materialize only the ``degree``
-        # machines actually placed.
-        walk = (machine_order if machine_order is not None
-                else registry.compute_machines())
-        fast = _bounded_pick(registry, data_hosts, coordinator, degree,
-                             walk, exclude)
-        if fast is not None:
-            return fast
-    # Permanently crashed machines are not resources: deploying a
-    # fragment there would park its dispatch behind a closed CPU gate
-    # forever.  ``exclude`` additionally blacklists machines the
-    # caller distrusts (the scheduler's retry path names the machine
-    # that failed the previous attempt); unlike a crash the blacklist
-    # is advisory — if honouring it would empty the pool, it yields.
-    candidates = [name for name in registry.compute_machines()
-                  if not registry.machine(name).is_crashed]
-    if exclude:
-        spared = [name for name in candidates if name not in exclude]
-        if spared:
-            candidates = spared
-    preferred = [name for name in candidates
-                 if name not in data_hosts and name != coordinator]
-    chosen = preferred or candidates
-    if machine_order is not None:
-        # Stable preference reorder: listed machines first in the given
-        # order, unlisted ones after in registry order.  With no degree
-        # cap every machine still participates, so a preference that
-        # lists the pool in registry order is a no-op by construction.
-        rank = {name: position
-                for position, name in enumerate(machine_order)}
-        chosen = sorted(chosen,
-                        key=lambda name: rank.get(name, len(rank)))
-    if degree is not None:
-        if degree < 1:
-            raise PlanningError(f"degree must be >= 1: {degree}")
-        if degree > len(chosen):
-            raise PlanningError(
-                f"degree {degree} exceeds available machines {len(chosen)}")
-        chosen = chosen[:degree]
+    """The first ``degree`` usable compute machines in preference order.
+
+    One walk visits the names in ``machine_order`` first, then the rest
+    of the compute pool in registry order, and stops once it holds
+    ``degree`` machines (``None`` takes the whole pool).  Permanently
+    crashed machines are never resources: a fragment deployed there
+    would park behind a closed CPU gate forever.  Crash checks use
+    :meth:`~ResourceRegistry.peek`, so the walk builds no lazy machine
+    it then rejects.
+
+    The walk first keeps off the data hosts, the coordinator and the
+    ``exclude`` blacklist (the scheduler's retry path names the machine
+    that failed the previous attempt).  Only a walk that finds nothing
+    relaxes: data hosts and the coordinator are allowed while any
+    non-blacklisted machine is alive, and the blacklist, being
+    advisory, yields only when it covers every live machine.
+    """
+    if degree is not None and degree < 1:
+        raise PlanningError(f"degree must be >= 1: {degree}")
+    listed = dict.fromkeys(machine_order or ())
+
+    def walk(keep: typing.Callable[[str], bool]) -> list[str]:
+        chosen: list[str] = []
+        unlisted = (name for name in registry.iter_compute_machines()
+                    if name not in listed)
+        for name in itertools.chain(listed, unlisted):
+            if not registry.is_compute(name) or not keep(name):
+                continue
+            machine = registry.peek(name)
+            if machine is not None and machine.is_crashed:
+                continue
+            chosen.append(name)
+            if len(chosen) == degree:
+                break
+        return chosen
+
+    def spared(name: str) -> bool:
+        return name not in exclude
+
+    def off_hosts(name: str) -> bool:
+        return name not in data_hosts and name != coordinator
+
+    chosen = (walk(lambda name: spared(name) and off_hosts(name))
+              or walk(spared) or walk(off_hosts) or walk(lambda _: True))
+    if degree is not None and degree > len(chosen):
+        raise PlanningError(
+            f"degree {degree} exceeds available machines {len(chosen)}")
     if not chosen:
         raise PlanningError("no compute machines available")
     return chosen

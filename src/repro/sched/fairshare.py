@@ -1,12 +1,12 @@
 """Fair sharing of machine capacity between concurrent sessions.
 
-Each admitted session charges a configurable number of capacity
-shares on every machine its subplans occupy (compute machines, data
-hosts and the coordinator alike — a scan feed contends for the data
-host exactly as a WS call contends for a compute node).  The shares
-are the scheduler's residency ledger: they steer new sessions toward
-the least-loaded machines (:meth:`FairShare.least_loaded_order`) and
-surface capacity pressure through
+Each admitted session charges one capacity share on every machine its
+subplans occupy (compute machines, data hosts and the coordinator
+alike — a scan feed contends for the data host exactly as a WS call
+contends for a compute node).  The shares are the scheduler's
+residency ledger: they steer new sessions toward the least-loaded
+machines (:meth:`FairShare.placement_order`) and surface capacity
+pressure through
 :meth:`repro.grid.machine.Machine.contention_factor`.
 
 The contention itself needs no extra mechanism: co-resident sessions
@@ -28,13 +28,10 @@ Placement ordering is served by an incrementally-maintained
 :class:`~repro.sched.fleet.FleetIndex` (least-loaded site, then
 least-loaded machine within it), updated on the same admit/release
 deltas that charge the shares — never recomputed by walking the
-fleet.  :meth:`least_loaded_order` survives unchanged as the O(n log n)
-reference implementation the equivalence tests pin the index against.
+fleet.
 """
 
 from __future__ import annotations
-
-import typing
 
 from repro.grid.registry import ResourceRegistry
 from repro.sched.fleet import FleetIndex
@@ -44,35 +41,18 @@ from repro.sched.session import QuerySession
 class FairShare:
     """Tracks sessions' capacity shares on the machines they occupy."""
 
-    def __init__(self, registry: ResourceRegistry,
-                 session_weight: float = 1.0,
-                 machine_capacity: float = 1.0) -> None:
+    def __init__(self, registry: ResourceRegistry) -> None:
         self.registry = registry
-        self.session_weight = session_weight
-        self.machine_capacity = machine_capacity
-        # Capacity applies to machines as they exist: already-built
-        # ones now, lazy ones at materialization (walking specs here
-        # would defeat lazy instantiation by building the whole fleet).
-        for machine in registry.materialized_machines():
-            machine.capacity = machine_capacity
-        registry.on_materialize(self._on_materialize)
         self.index = FleetIndex(registry)
-
-    def _on_materialize(self, machine) -> None:
-        machine.capacity = self.machine_capacity
-
-    def _charge(self, name: str, session_id: str, weight: float) -> None:
-        machine = self.registry.machine(name)
-        machine.acquire_share(session_id, weight)
-        # Re-read the ledger sum rather than applying a delta: the
-        # index key is then the exact float the legacy sort reads,
-        # with no incremental drift.
-        self.index.update(name, machine.committed_shares)
 
     def admit(self, session: QuerySession) -> None:
         """Charge the session's shares on every machine it occupies."""
         for name in session.machines:
-            self._charge(name, session.session_id, self.session_weight)
+            machine = self.registry.machine(name)
+            machine.acquire_share(session.session_id)
+            # Re-read the ledger sum rather than applying a delta, so
+            # the index key never drifts from the ledger.
+            self.index.update(name, machine.committed_shares)
 
     def release(self, session: QuerySession) -> None:
         """Return the session's shares (idempotent)."""
@@ -81,30 +61,13 @@ class FairShare:
             machine.release_share(session.session_id)
             self.index.update(name, machine.committed_shares)
 
-    def load(self, machine_name: str) -> float:
-        """Shares currently committed on ``machine_name``."""
-        return self.registry.machine(machine_name).committed_shares
-
-    def least_loaded_order(self, candidates: typing.Sequence[str]
-                           ) -> list[str]:
-        """Candidates sorted by committed shares, stably.
-
-        With uniform load (including the empty grid) this is the input
-        order, so placement preferences are a no-op until sessions
-        actually pile up somewhere — a property the concurrency-one
-        equivalence tests rely on.
-        """
-        indexed = list(enumerate(candidates))
-        indexed.sort(key=lambda pair: (self.load(pair[1]), pair[0]))
-        return [name for _index, name in indexed]
-
     def placement_order(self, limit: int | None = None) -> list[str]:
         """Index-backed placement preference over compute machines.
 
         Least-loaded site first, then least-loaded machine within each
         site; crashed machines are skipped.  With a single site this
-        is bit-identical to ``least_loaded_order`` over the
-        crash-filtered compute pool (the property suite pins it);
+        is the crash-filtered compute pool sorted stably by committed
+        shares (the property suite pins it against that sort);
         ``limit`` bounds the emitted candidates for large fleets.
         """
         return self.index.order(limit=limit)

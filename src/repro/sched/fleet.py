@@ -1,9 +1,9 @@
 """Incremental two-tier load index for fleet-scale placement.
 
-The legacy placement path re-sorted every compute machine's committed
-shares on each dispatch (``FairShare.least_loaded_order``) — O(n log n)
-per placement over the whole fleet.  This module replaces the sort
-with ordered structures maintained *incrementally* on share deltas:
+Placement must not re-sort every compute machine's committed shares on
+each dispatch — O(n log n) per placement over the whole fleet.  This
+module keeps the least-loaded order in structures maintained
+*incrementally* on share deltas:
 
 * :class:`LoadIndex` — one tier's least-loaded order, a bisect-kept
   sorted list keyed ``(load, registration_index, name)``.  Updating
@@ -21,14 +21,13 @@ with ordered structures maintained *incrementally* on share deltas:
 **Degenerate single-site bit-identity.**  With one site (every grid
 that never names sites) the site tier has one entry and the order is
 exactly the flat machine tier: machines sorted by
-``(committed_shares, registration_index)``.  The legacy reference
-sorted the crash-filtered compute pool stably by
-``(committed_shares, pool_position)``; since crash-filtering preserves
-relative order, position in the filtered pool is monotone in
-registration index and the two keys induce the same order.  Loads are
-re-read as ``sum(machine._shares.values())`` at update time — the
-exact float the legacy sort computed — so there is no incremental
-drift.  The property suite pins this equivalence.
+``(committed_shares, registration_index)``.  That is the crash-filtered
+compute pool sorted stably by ``(committed_shares, pool_position)``:
+crash-filtering preserves relative order, so position in the filtered
+pool is monotone in registration index and the two keys induce the
+same order.  Loads are re-read from the share ledger at update time,
+so there is no incremental drift.  The property suite pins this
+equivalence against a full sort kept as a test oracle.
 
 Crashed machines are removed lazily: enumeration skips (and drops)
 members whose machine object reports ``is_crashed``.  A machine that

@@ -5,7 +5,9 @@ Tracks per-machine query failures and opens a breaker after
 steers away from open machines (they sort last in the scheduler's
 machine-order preference); after ``cooldown_ms`` the breaker
 half-opens and admits a single probe query — a probe success closes
-the breaker, a probe failure re-opens it for another cooldown.
+the breaker, a probe failure re-opens it for another cooldown.  The
+scheduler uses the module defaults :data:`BREAKER_THRESHOLD`,
+:data:`BREAKER_WINDOW_MS` and :data:`BREAKER_COOLDOWN_MS`.
 
 The breaker is deliberately *advisory*: it reorders the least-loaded
 placement preference rather than hard-excluding machines, so a pool
@@ -30,12 +32,21 @@ STATE_CLOSED = "closed"
 STATE_OPEN = "open"
 STATE_HALF_OPEN = "half-open"
 
+#: Failures inside the window that open a machine's breaker: one
+#: failure may be the query's fault, three on one machine are not.
+BREAKER_THRESHOLD = 3
+#: Sliding window over which failures accumulate toward the threshold.
+BREAKER_WINDOW_MS = 30000.0
+#: Time an open breaker waits before half-opening one probe.
+BREAKER_COOLDOWN_MS = 60000.0
+
 
 class MachineHealth:
     """Sliding-window failure counter with open/half-open/closed states."""
 
-    def __init__(self, env, threshold: int, window_ms: float,
-                 cooldown_ms: float) -> None:
+    def __init__(self, env, threshold: int = BREAKER_THRESHOLD,
+                 window_ms: float = BREAKER_WINDOW_MS,
+                 cooldown_ms: float = BREAKER_COOLDOWN_MS) -> None:
         self.env = env
         self.threshold = threshold
         self.window_ms = window_ms

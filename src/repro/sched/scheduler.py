@@ -88,19 +88,9 @@ class QueryScheduler:
         self.env = self.context.env
         self.config = config or SchedulerConfig()
         self.name = f"sched:{gdqs.machine.name}"
-        self.fair_share: FairShare | None = None
-        if self.config.fair_share:
-            self.fair_share = FairShare(
-                self.context.registry,
-                session_weight=self.config.session_weight,
-                machine_capacity=self.config.machine_capacity)
-        self.health: MachineHealth | None = None
-        if self.config.breaker_threshold > 0:
-            # Pure bookkeeping (no simulator events): safe always-on.
-            self.health = MachineHealth(
-                self.env, threshold=self.config.breaker_threshold,
-                window_ms=self.config.breaker_window_ms,
-                cooldown_ms=self.config.breaker_cooldown_ms)
+        self.fair_share = FairShare(self.context.registry)
+        # Pure bookkeeping (no simulator events): safe always-on.
+        self.health = MachineHealth(self.env)
         self._queue: collections.deque[QuerySession] = collections.deque()
         self._running: dict[str, QuerySession] = {}
         #: Every admitted session, in submission order.
@@ -135,18 +125,17 @@ class QueryScheduler:
         for machine in self.context.registry.materialized_machines():
             self._register_machine_gauge(machine)
         self.context.registry.on_materialize(self._on_materialize)
-        if self.health is not None:
-            # Site-tier health summary: open-breaker count per site,
-            # computed from the incrementally-maintained unhealthy set
-            # (O(tripped), never O(fleet)).  Callback gauges are read
-            # only at snapshot time — the zero-cost metrics invariant.
-            registry = self.context.registry
-            for site in registry.sites():
-                metrics.gauge(
-                    "sched_site_breakers_open",
-                    fn=lambda site=site: self.health.site_rollup(
-                        registry.site_of).get(site, 0),
-                    site=site)
+        # Site-tier health summary: open-breaker count per site,
+        # computed from the incrementally-maintained unhealthy set
+        # (O(tripped), never O(fleet)).  Callback gauges are read only
+        # at snapshot time — the zero-cost metrics invariant.
+        registry = self.context.registry
+        for site in registry.sites():
+            metrics.gauge(
+                "sched_site_breakers_open",
+                fn=lambda site=site: self.health.site_rollup(
+                    registry.site_of).get(site, 0),
+                site=site)
 
     def _register_machine_gauge(self, machine) -> None:
         self.context.metrics.gauge("sched_capacity_pressure",
@@ -213,9 +202,7 @@ class QueryScheduler:
         terminal = completed + self.queries_failed
         return completed / terminal if terminal else 1.0
 
-    def _machine_order(self) -> list[str] | None:
-        if self.fair_share is None or not self.config.load_aware_placement:
-            return None
+    def _machine_order(self) -> list[str]:
         # The fleet index maintains the least-loaded (site, machine)
         # order incrementally on admit/release deltas, so emitting the
         # preference costs O(candidates), not a per-placement sort of
@@ -223,11 +210,9 @@ class QueryScheduler:
         # enough extras to survive the breaker partition below pushing
         # tripped machines behind the budget line.
         limit = self.config.placement_candidates
-        maybe_open: frozenset = frozenset()
-        if self.health is not None:
-            maybe_open = self.health.unhealthy_names()
-            if limit is not None and maybe_open:
-                limit += len(maybe_open)
+        maybe_open = self.health.unhealthy_names()
+        if limit is not None and maybe_open:
+            limit += len(maybe_open)
         order = self.fair_share.placement_order(limit=limit)
         if maybe_open:
             # Stable partition: breaker-open machines sort last, the
@@ -265,35 +250,35 @@ class QueryScheduler:
         if first_attempt:
             self._metric_queue_wait.observe(session.queue_wait_ms)
         self._running[session.session_id] = session
-        if self.fair_share is not None:
-            # Shares are charged in the same simulated instant as the
-            # deployment, so a second submission at the same time
-            # already sees this session's residency when placing.
-            self.fair_share.admit(session)
-        if self.health is not None:
-            self.health.note_placement(session.machines)
+        # Shares are charged in the same simulated instant as the
+        # deployment, so a second submission at the same time already
+        # sees this session's residency when placing.
+        self.fair_share.admit(session)
+        self.health.note_placement(session.machines)
         if session.done is None:
             session.done = handle.done
+        if self.config.query_timeout_ms is not None:
+            # One timer per attempt, withdrawn once the attempt settles
+            # so it neither fires nor stretches the simulated clock.
+            deadline = self.env.timeout(self.config.query_timeout_ms)
+            deadline.callbacks.append(
+                lambda _event, h=handle: self._on_deadline(h))
+            handle.done.callbacks.append(
+                lambda _event, d=deadline: self.env.cancel(d))
         handle.done.callbacks.append(
             lambda event, s=session: self._on_complete(s, event))
-        if self.config.query_timeout_ms is not None:
-            self.env.process(
-                self._watch_deadline(handle),
-                name=f"sched:deadline:{session.session_id}"
-                     f":a{session.attempts}")
         self.context.tracer.record(
             CATEGORY_SCHEDULER, self.name, "query started",
             session=session.session_id, query_id=handle.query_id,
             queue_wait_ms=round(session.queue_wait_ms, 1),
             machines=session.machines)
 
-    def _watch_deadline(self, handle) -> typing.Generator:
-        """Abort ``handle`` if it outlives the per-attempt deadline.
+    def _on_deadline(self, handle) -> None:
+        """Abort ``handle``: its attempt outlived the deadline.
 
-        The timer fires once per attempt; on a handle that already
-        settled (success or failure) the expiry is a harmless no-op.
+        A handle that settled in the same instant, before its
+        withdrawal could run, is left alone.
         """
-        yield self.env.timeout(self.config.query_timeout_ms)
         if not handle.done.triggered:
             self.gdqs.abort(handle, CAUSE_DEADLINE)
 
@@ -303,16 +288,14 @@ class QueryScheduler:
             return
         session.mark_completed(self.env.now)
         self._metric_completed.inc()
-        if self.health is not None:
-            for machine in session.machines:
-                self.health.record_success(machine)
-            if session.first_failed_at is not None:
-                # Time from first failure to eventual success: the
-                # scheduler-level mean-time-to-repair contribution.
-                self._metric_mttr.observe(
-                    self.env.now - session.first_failed_at)
-        if self.fair_share is not None:
-            self.fair_share.release(session)
+        for machine in session.machines:
+            self.health.record_success(machine)
+        if session.first_failed_at is not None:
+            # Time from first failure to eventual success: the
+            # scheduler-level mean-time-to-repair contribution.
+            self._metric_mttr.observe(
+                self.env.now - session.first_failed_at)
+        self.fair_share.release(session)
         del self._running[session.session_id]
         self.context.tracer.record(
             CATEGORY_SCHEDULER, self.name, "query completed",
@@ -369,10 +352,9 @@ class QueryScheduler:
     def _on_failure(self, session: QuerySession, failure: QueryFailed,
                     event: Event) -> None:
         self.wasted_work_ms += failure.elapsed_ms
-        if self.health is not None and failure.failed_machine:
+        if failure.failed_machine:
             self.health.record_failure(failure.failed_machine)
-        if self.fair_share is not None:
-            self.fair_share.release(session)
+        self.fair_share.release(session)
         del self._running[session.session_id]
         if self._should_retry(session, failure):
             session.mark_retrying(self.env.now, failure)

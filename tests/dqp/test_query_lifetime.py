@@ -12,6 +12,7 @@ replies, the same times and the same CPU charges.
 import gc
 import weakref
 
+from repro.chaos import ChaosConfig
 from repro.config import AdaptivityConfig, SchedulerConfig
 from repro.dqp.gqes import GQES
 from repro.experiments.harness import engine_config_for
@@ -182,3 +183,18 @@ def test_adaptive_q2_leaves_no_dead_timer_tail():
     env = grid.context.env
     assert env.now - session.completed_at < 1000.0
     assert env.events_cancelled > 0
+
+
+def test_delivered_sends_leave_no_retry_timer():
+    """Under chaos every data buffer races its send-retry timer; once
+    the delivery wins the timer is withdrawn, so a run whose sends all
+    arrive drains at its outcome, not one retry timeout later."""
+    grid = DemoGrid(SPEC, chaos=ChaosConfig.lossy(delay_probability=0.5,
+                                                  delay_ms=5.0))
+    scheduler = grid.scheduler(SchedulerConfig(max_concurrent=1))
+    session = scheduler.submit(Q2, adaptivity=AdaptivityConfig.disabled())
+    scheduler.drain()
+    env = grid.context.env
+    assert grid.chaos.send_retries == 0
+    assert env.events_cancelled > 0
+    assert env.now - session.completed_at < 10.0

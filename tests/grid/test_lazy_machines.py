@@ -125,11 +125,3 @@ class TestSchedulerMetrics:
                  if entry.get("name") == "sched_capacity_pressure"}
         assert {"compute-1", "compute-2"} <= after
         assert "compute-6" not in after
-
-    def test_capacity_applied_at_materialization(self):
-        grid = lazy_grid()
-        scheduler = grid.scheduler(
-            SchedulerConfig(max_concurrent=2, machine_capacity=4.0))
-        scheduler.submit(Q1, degree=2)
-        scheduler.drain()
-        assert grid.context.registry.machine("compute-1").capacity == 4.0

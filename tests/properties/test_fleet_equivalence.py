@@ -5,9 +5,8 @@ breaker set, heartbeat wheel, lazy machines) must not change a single
 bit of today's small-grid behaviour:
 
 * **Single implicit site degenerates.**  A grid that never names
-  sites gets one flat machine tier whose order equals the legacy
-  ``least_loaded_order`` sort (pinned in
-  ``tests/sched/test_fleet_index.py``); the scheduler-equivalence
+  sites gets one flat machine tier whose order equals the full
+  least-loaded sort (pinned in ``tests/sched/test_fleet_index.py``); the scheduler-equivalence
   suite then pins the whole timeline against the direct path.  Here
   we pin the remaining axes end to end: the heartbeat wheel against
   goldens of the retired per-query monitor, candidate budget vs the

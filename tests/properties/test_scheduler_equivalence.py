@@ -8,7 +8,8 @@ identical adaptation decisions (in fact the identical full adaptivity
 timeline, timestamps included), and an identical number of scheduled
 simulator events — across every assessment x response policy
 combination.  The scheduler may add *trace* events (category
-``scheduler``) but zero *simulator* events.
+``scheduler``) but zero *simulator* events — its share ledger and its
+always-on circuit breaker are pure bookkeeping.
 
 The grid seed honours ``REPRO_TEST_SEED`` so CI exercises the same
 properties under more than one simulated world.
@@ -47,8 +48,6 @@ scheduler_configs = st.builds(
     SchedulerConfig,
     max_concurrent=st.just(1),
     max_queued=st.sampled_from([0, 4]),
-    fair_share=st.booleans(),
-    load_aware_placement=st.booleans(),
 )
 
 

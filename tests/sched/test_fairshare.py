@@ -8,6 +8,8 @@ about a running query — not its M1 cadence, not its adaptation
 decisions — while an *active* neighbour slows it down for real.
 """
 
+import types
+
 import pytest
 
 from repro.config import AdaptivityConfig, SchedulerConfig
@@ -21,6 +23,7 @@ from repro.workloads import (
     Q2,
     perturb_ws_cost,
 )
+from tests.sched.reference import least_loaded_order
 
 SPEC = DemoGridSpec(sequences_cardinality=150, interactions_cardinality=220,
                     sequence_length=24)
@@ -29,8 +32,8 @@ ADAPTIVE = AdaptivityConfig(response="R1", decision_latency_ms=100.0)
 
 
 class TestShareLedger:
-    def make_machine(self, capacity=1.0):
-        return Machine(Environment(), "m", capacity=capacity)
+    def make_machine(self):
+        return Machine(Environment(), "m")
 
     def test_shares_accumulate_and_release(self):
         machine = self.make_machine()
@@ -43,7 +46,7 @@ class TestShareLedger:
         assert machine.committed_shares == 0.5
 
     def test_contention_factor_reports_pressure_beyond_capacity(self):
-        machine = self.make_machine(capacity=1.0)
+        machine = self.make_machine()
         assert machine.contention_factor() == 1.0
         machine.acquire_share("s1")
         assert machine.contention_factor() == 1.0
@@ -51,14 +54,6 @@ class TestShareLedger:
         assert machine.contention_factor() == 2.0
         machine.release_share("s2")
         assert machine.contention_factor() == 1.0
-
-    def test_capacity_scales_the_pressure_threshold(self):
-        machine = self.make_machine(capacity=4.0)
-        for index in range(4):
-            machine.acquire_share(f"s{index}")
-        assert machine.contention_factor() == 1.0
-        machine.acquire_share("s5")
-        assert machine.contention_factor() == pytest.approx(1.25)
 
     def test_invalid_share_weight_rejected(self):
         machine = self.make_machine()
@@ -85,25 +80,18 @@ class TestFairSharePolicy:
         grid = DemoGrid(DemoGridSpec(compute_machines=3))
         policy = FairShare(grid.context.registry)
         names = ["compute-1", "compute-2", "compute-3"]
-        assert policy.least_loaded_order(names) == names
+        assert least_loaded_order(grid.context.registry, names) == names
+        assert policy.placement_order() == names
 
     def test_least_loaded_order_prefers_idle_machines(self):
         grid = DemoGrid(DemoGridSpec(compute_machines=3))
         policy = FairShare(grid.context.registry)
-        grid.context.machine("compute-1").acquire_share("s1")
-        grid.context.machine("compute-2").acquire_share("s1")
-        order = policy.least_loaded_order(
-            ["compute-1", "compute-2", "compute-3"])
+        policy.admit(types.SimpleNamespace(
+            session_id="s1", machines=("compute-1", "compute-2")))
+        order = least_loaded_order(grid.context.registry,
+                                   ["compute-1", "compute-2", "compute-3"])
         assert order == ["compute-3", "compute-1", "compute-2"]
-
-    def test_fair_share_disabled_skips_the_ledger(self):
-        grid = DemoGrid(SPEC)
-        scheduler = grid.scheduler(SchedulerConfig(
-            max_concurrent=2, fair_share=False))
-        scheduler.submit(Q1, adaptivity=STATIC)
-        assert all(machine.committed_shares == 0.0
-                   for machine in grid.context.registry.machines())
-        scheduler.drain()
+        assert policy.placement_order() == order
 
 
 def adaptivity_events(tracer, query_id):

@@ -1,10 +1,9 @@
 """Tests for the incremental two-tier placement index.
 
-The contract under test (satellite of the fleet-scale PR): the
-index-backed ``FairShare.placement_order`` must equal the legacy
-``least_loaded_order`` full sort over the crash-filtered compute pool
-on every single-site grid — the sort survives in the code exactly so
-these tests can pin the equivalence — while multi-site grids order
+The contract under test: the index-backed
+``FairShare.placement_order`` must equal the full sort
+(``tests.sched.reference.least_loaded_order``) over the crash-filtered
+compute pool on every single-site grid, while multi-site grids order
 sites by mean committed shares before machines.
 """
 
@@ -18,6 +17,7 @@ from repro.errors import PlanningError
 from repro.sched import FairShare
 from repro.sched.fleet import FleetIndex, LoadIndex
 from repro.workloads import DemoGrid, DemoGridSpec
+from tests.sched.reference import least_loaded_order, site_loads
 
 SPEC = DemoGridSpec(compute_machines=6,
                     sequences_cardinality=60, interactions_cardinality=90,
@@ -89,9 +89,11 @@ class TestFleetIndexSingleSite:
         ]
         for session in sessions:
             fair.admit(session)
-            assert fair.placement_order() == fair.least_loaded_order(pool)
+            assert fair.placement_order() == least_loaded_order(
+                grid.context.registry, pool)
         fair.release(sessions[1])
-        assert fair.placement_order() == fair.least_loaded_order(pool)
+        assert fair.placement_order() == least_loaded_order(
+            grid.context.registry, pool)
 
     def test_limit_truncates_the_same_prefix(self):
         grid = DemoGrid(SPEC)
@@ -115,7 +117,7 @@ class TestFleetIndexSingleSite:
         fair = FairShare(grid.context.registry)
         fair.admit(StubSession("s1", ("data-host", "coordinator")))
         # Shares are charged on the occupied machines...
-        assert fair.load("data-host") == 1.0
+        assert grid.context.machine("data-host").committed_shares == 1.0
         # ...but placement order only ever lists compute machines.
         assert fair.placement_order() == list(grid.compute_machines)
 
@@ -154,7 +156,8 @@ class TestReferenceEquivalence:
                 fair.admit(sessions[key])
             else:
                 fair.release(sessions.pop(key))
-            assert fair.placement_order() == fair.least_loaded_order(pool)
+            assert fair.placement_order() == least_loaded_order(
+                grid.context.registry, pool)
 
 
 class TestFleetIndexMultiSite:
@@ -184,7 +187,7 @@ class TestFleetIndexMultiSite:
         assert order[:2] == ["compute-5", "compute-6"]     # idle site-3
         assert order[2:4] == ["compute-4", "compute-3"]    # site-2
         assert order[4:] == ["compute-2", "compute-1"]     # site-1
-        loads = fair.index.site_loads()
+        loads = site_loads(fair.index)
         assert loads["site-1"] == pytest.approx(1.5)
         assert loads["site-2"] == pytest.approx(0.5)
         assert loads["site-3"] == 0.0
@@ -195,5 +198,7 @@ class TestFleetIndexMultiSite:
         fair.admit(StubSession("s1", ("compute-1",)))
         grid.context.crash_machine("compute-1")
         fair.placement_order()
-        # The crashed member's load left the aggregate with it.
-        assert fair.index.site_loads()["site-1"] == 0.0
+        # The crashed member's load left the aggregate with it, so the
+        # next placement ranks site-1 idle again, first on registration.
+        assert site_loads(fair.index)["site-1"] == 0.0
+        assert fair.placement_order()[0] == "compute-2"

@@ -205,6 +205,23 @@ class TestDeadlines:
         assert isinstance(outcome, QueryResult)
         assert scheduler.statistics().timed_out == 0
 
+    def test_settled_attempt_withdraws_its_deadline(self):
+        """An unexpired deadline neither fires nor stretches the clock:
+        the drain ends at the outcome, and utilisation divides busy
+        time by the real elapsed time, not by the deadline."""
+        grid = DemoGrid(SPEC3)
+        scheduler = grid.scheduler(SchedulerConfig(query_timeout_ms=60000.0))
+        session = scheduler.submit(Q1, adaptivity=STATIC)
+        (outcome,) = scheduler.drain()
+        assert isinstance(outcome, QueryResult)
+        env = grid.context.env
+        assert env.now - session.completed_at < 10.0
+        assert env.events_cancelled == 1
+        data_host = grid.context.machine("data-host")
+        utilisation = scheduler.statistics().machine_utilisation
+        assert utilisation["data-host"] == data_host.cpu.busy_time / env.now
+        assert utilisation["data-host"] > 0.5
+
 
 class TestDrainUnderFailures:
     def test_drain_returns_one_outcome_per_admitted_session(self):

@@ -109,15 +109,15 @@ class TestWorkloadDriver:
         assert report.makespan_ms >= last_arrival
 
     def test_makespan_ends_at_the_last_terminal_outcome(self):
-        """A timer that outlives the workload (here each session's
-        generous deadline watcher) stretches the clock, not the
-        makespan."""
+        """A timer that outlives the workload (here one armed before
+        it starts) stretches the clock, not the makespan."""
         grid = DemoGrid(SPEC)
         scheduler = grid.scheduler(SchedulerConfig(
-            max_concurrent=2, max_queued=4, query_timeout_ms=60000.0))
+            max_concurrent=2, max_queued=4))
         driver = WorkloadDriver(scheduler, WorkloadSpec(
             arrival_rate_qps=0.6, duration_ms=6000.0, catalog=(Q1, Q2),
             adaptivity=AdaptivityConfig.disabled()))
+        grid.context.env.timeout(60000.0)
         report = driver.run()
         last = max(session.completed_at for session in scheduler.sessions)
         assert report.makespan_ms == last
